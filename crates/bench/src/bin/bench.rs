@@ -57,18 +57,6 @@ const MC_GATE_SAMPLES: usize = 2 * MC_GROUP_CHUNKS * MC_CHUNK_SAMPLES;
 /// index build without inflating a single op into seconds.
 const BENCH_WAFERS: usize = 4;
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -103,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let engine = Engine::from_env();
     let threads = engine.threads();
-    let rev = git_rev();
+    let rev = focal_bench::detect_git_rev();
 
     let mut records: Vec<BenchRecord> = Vec::new();
     let add = |records: &mut Vec<BenchRecord>, kernel: &str, m: Measurement| {
@@ -198,6 +186,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 black_box(&y),
                 Scenario::FixedWork,
                 MC_CHUNK_SAMPLES,
+                None,
             ));
         }),
     );
@@ -253,7 +242,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             0.1,
             MC_CHUNK_SAMPLES,
             42,
-            &mut Some(memo),
+            Some(memo),
         )
     };
     add(

@@ -31,22 +31,25 @@
 //!   scenario twin of the robustness sweep) are answered from the cache.
 //!   Deterministic output is byte-identical with or without this flag;
 //!   hit/miss counters appear in the timed JSON and the stderr summary.
-//! * `--inject <kind>@<site>:<index>` — arm the deterministic
-//!   fault-injection harness before running (e.g. `panic@figures:3`,
-//!   `nan@mc:1017`). The targeted stage degrades to `status: error` with
-//!   a minimal repro line; every other stage still runs. See DESIGN.md
-//!   §12.
+//! * `--inject <kind>@<site>:<index>` — run on an engine carrying a
+//!   deterministic fault plan (e.g. `panic@figures:3`, `nan@mc:1017`).
+//!   The targeted stage degrades to `status: error` with a minimal repro
+//!   line; every other stage still runs. The site must be a stage name
+//!   or `mc`; any other site could never fire and exits 2. See
+//!   DESIGN.md §12.
 //!
 //! Exits nonzero if any stage fails to reproduce the paper or errors.
 
-use focal_bench::suite::{run_suite_with_options, SuiteOptions};
-use focal_engine::{fault, Engine, FaultPlan};
+use focal_bench::suite::{run_suite_with_options, SuiteOptions, STAGE_NAMES};
+use focal_engine::fault::MC_SITE;
+use focal_engine::{Engine, FaultPlan};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut no_timings = false;
     let mut dump_dir: Option<&String> = None;
     let mut options = SuiteOptions::default();
+    let mut faults: Option<&'static FaultPlan> = None;
     let mut i = 0;
     while let Some(arg) = args.get(i) {
         match arg.as_str() {
@@ -74,8 +77,9 @@ fn main() {
             "--inject" if args.get(i + 1).is_some() => {
                 i += 1;
                 let spec = args.get(i).map(String::as_str).unwrap_or_default();
-                match FaultPlan::parse(spec) {
-                    Ok(plan) => fault::arm(plan),
+                let sites: Vec<&str> = STAGE_NAMES.into_iter().chain([MC_SITE]).collect();
+                match FaultPlan::parse_for(spec, &sites) {
+                    Ok(plan) => faults = Some(plan.leak()),
                     Err(e) => {
                         eprintln!("--inject: {e}");
                         std::process::exit(2);
@@ -98,7 +102,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let engine = Engine::from_env();
+    let engine = Engine::from_env().with_faults(faults);
     let report = run_suite_with_options(&engine, &options);
 
     if let Some(dir) = dump_dir {
@@ -130,7 +134,7 @@ fn main() {
             match focal_scenario::load_dir(scenarios_src) {
                 Ok(scenarios) => {
                     for scenario in &scenarios {
-                        let output = match scenario.evaluate_on(&engine) {
+                        let output = match scenario.evaluate_on(&engine, None) {
                             Ok(output) => output,
                             Err(e) => {
                                 eprintln!("error: scenario '{}' dump skipped: {e}", scenario.id());

@@ -18,6 +18,22 @@ pub mod suite;
 
 use focal_studies::Figure;
 
+/// `git rev-parse --short HEAD` of the current directory, or
+/// `"unknown"` when git or the checkout is unavailable. Stamped into
+/// benchmark records and `focal-serve` response provenance.
+#[must_use]
+pub fn detect_git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Prints a regenerated figure in the harness's standard format: caption,
 /// ASCII charts, then the CSV block.
 pub fn print_figure(fig: &Figure) {

@@ -26,11 +26,11 @@
 //! a faulted report stays byte-identical across `FOCAL_THREADS` values.
 
 use focal_core::{
-    alpha_crossover_batch, alpha_crossover_batch_memo, classify_over_range_memo_on,
-    classify_over_range_on, DesignPoint, E2oRange, ModelError, Result, Scenario, SweepMemo,
-    SweepMemoStats,
+    alpha_crossover_batch, classify_over_range_on, DesignPoint, E2oRange, ModelError, Result,
+    Scenario, SweepMemo, SweepMemoStats,
 };
-use focal_engine::{fault, ChunkError, Engine};
+use focal_engine::fault::payload_to_string;
+use focal_engine::{ChunkError, Engine};
 use focal_studies::robustness::verdict_robustness_with;
 use focal_wafer::{DefectDistribution, DefectSimulator, DiePlacement, Wafer, YieldModel};
 use std::fmt::Write as _;
@@ -60,6 +60,18 @@ pub const DEFECT_SIM_DENSITY: f64 = 0.2;
 
 /// Wafers simulated per defect-sim stage run.
 pub const DEFECT_SIM_WAFERS: usize = 32;
+
+/// Stage names in run order; `scenarios` runs only with
+/// [`SuiteOptions::scenarios_dir`]. These are the sites a
+/// `panic@<stage>:<chunk>` fault plan can target.
+pub const STAGE_NAMES: [&str; 6] = [
+    "figures",
+    "findings",
+    "robustness",
+    "crossovers",
+    "defect-sim",
+    "scenarios",
+];
 
 /// Options for [`run_suite_with_options`].
 #[derive(Debug, Clone)]
@@ -359,18 +371,17 @@ fn error_entries(name: &'static str, err: &ModelError) -> Vec<(String, String)> 
 /// aborting the suite. Poisoned engine chunks arrive here either as
 /// `Err(ModelError::ChunkPoisoned)` (fallible engine paths) or as a
 /// resumed panic whose payload downcasts to [`ChunkError`] (infallible
-/// paths) — both produce the same diagnostic entries. The stage name is
-/// registered as the fault-injection site for the duration of the body,
+/// paths) — both produce the same diagnostic entries. The body runs on
+/// `engine` labelled with the stage name as its fault-injection site,
 /// which is what scopes `--inject panic@<stage>:<chunk>` plans.
-fn run_stage<F>(name: &'static str, body: F) -> Stage
+fn run_stage<F>(engine: &Engine, name: &'static str, body: F) -> Stage
 where
-    F: FnOnce() -> Result<(bool, Vec<(String, String)>)>,
+    F: FnOnce(&Engine) -> Result<(bool, Vec<(String, String)>)>,
 {
-    fault::enter_site(name);
+    let engine = engine.at_site(name);
     let t = Instant::now();
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(body));
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| body(&engine)));
     let wall_us = t.elapsed().as_micros();
-    fault::leave_site();
     let (status, entries) = match outcome {
         Ok(Ok((true, entries))) => (StageStatus::Ok, entries),
         Ok(Ok((false, entries))) => (StageStatus::Failed, entries),
@@ -378,14 +389,10 @@ where
         Err(payload) => {
             let entries = match payload.downcast::<ChunkError>() {
                 Ok(chunk) => error_entries(name, &ModelError::from(*chunk)),
-                Err(other) => {
-                    let msg = other
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| other.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                    vec![("error".to_string(), format!("stage panicked: {msg}"))]
-                }
+                Err(other) => vec![(
+                    "error".to_string(),
+                    format!("stage panicked: {}", payload_to_string(other.as_ref())),
+                )],
             };
             (StageStatus::Error, entries)
         }
@@ -419,26 +426,7 @@ fn audit_finite(context: impl FnOnce() -> String, value: f64) -> Result<()> {
 /// [`StageStatus`]); the suite itself always completes and reports.
 #[must_use]
 pub fn run_suite(engine: &Engine) -> SuiteReport {
-    run_suite_with_samples(engine, ROBUSTNESS_SAMPLES)
-}
-
-/// [`run_suite`] with an explicit Monte-Carlo sample count for the
-/// robustness stage (the suite's `--samples` flag). The chunk geometry
-/// depends only on the sample count, so any value remains bit-identical
-/// across thread counts; larger values turn the suite into a useful
-/// parallel-speedup benchmark.
-///
-/// Individual stage faults degrade to `status: error` stages (see
-/// [`StageStatus`]); the suite itself always completes and reports.
-#[must_use]
-pub fn run_suite_with_samples(engine: &Engine, robustness_samples: usize) -> SuiteReport {
-    run_suite_with_options(
-        engine,
-        &SuiteOptions {
-            robustness_samples,
-            ..SuiteOptions::default()
-        },
-    )
+    run_suite_with_options(engine, &SuiteOptions::default())
 }
 
 /// The declarative-scenario stage: loads every `*.toml` under `dir`,
@@ -449,17 +437,14 @@ pub fn run_suite_with_samples(engine: &Engine, robustness_samples: usize) -> Sui
 /// without aborting the suite.
 fn scenarios_stage(engine: &Engine, dir: &Path, memo: Option<&mut SweepMemo>) -> Stage {
     let dir = dir.to_path_buf();
-    run_stage("scenarios", move || {
+    run_stage(engine, "scenarios", move |engine| {
         let scenarios = match focal_scenario::load_dir(&dir) {
             Ok(scenarios) => scenarios,
             Err(e) => {
                 return Ok((false, vec![("load-error".to_string(), e.to_string())]));
             }
         };
-        let results = match memo {
-            Some(memo) => focal_scenario::evaluate_all_memo_on(engine, &scenarios, memo)?,
-            None => focal_scenario::evaluate_all_on(engine, &scenarios)?,
-        };
+        let results = focal_scenario::evaluate_all_with(engine, &scenarios, memo)?;
         let mut passed = !results.is_empty();
         let mut entries: Vec<(String, String)> = Vec::with_capacity(results.len());
         for (id, result) in results {
@@ -476,10 +461,12 @@ fn scenarios_stage(engine: &Engine, dir: &Path, memo: Option<&mut SweepMemo>) ->
     })
 }
 
-/// [`run_suite_with_samples`] plus the scenario options: with
-/// [`SuiteOptions::scenarios_dir`] set, a `scenarios` stage evaluates
-/// the declarative corpus after (or with `scenarios_only`, instead of)
-/// the hand-coded stages.
+/// [`run_suite`] with explicit options: the Monte-Carlo sample count of
+/// the robustness stage (the chunk geometry depends only on the sample
+/// count, so any value stays bit-identical across thread counts), and
+/// with [`SuiteOptions::scenarios_dir`] set, a `scenarios` stage that
+/// evaluates the declarative corpus after (or with `scenarios_only`,
+/// instead of) the hand-coded stages.
 ///
 /// Individual stage faults degrade to `status: error` stages (see
 /// [`StageStatus`]); the suite itself always completes and reports.
@@ -502,7 +489,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     let mut stages = Vec::new();
 
     // Stage 1: every paper figure, fingerprinted at the CSV-byte level.
-    stages.push(run_stage("figures", || {
+    stages.push(run_stage(engine, "figures", |engine| {
         let figures = focal_studies::all_figures_on(engine)?;
         for f in &figures {
             for (pi, panel) in f.panels.iter().enumerate() {
@@ -538,7 +525,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     }));
 
     // Stage 2: every finding, gated on reproduction.
-    stages.push(run_stage("findings", || {
+    stages.push(run_stage(engine, "findings", |engine| {
         let findings = focal_studies::all_findings_on(engine)?;
         for f in &findings {
             for m in &f.metrics {
@@ -571,13 +558,13 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     // Stage 3: Monte-Carlo verdict robustness across the taxonomy (the
     // §3.5 ablation). Agreements are exact sample fractions, so their
     // shortest-f64 rendering is thread-count invariant.
-    stages.push(run_stage("robustness", || {
+    stages.push(run_stage(engine, "robustness", |engine| {
         let robustness = verdict_robustness_with(
             engine,
             ROBUSTNESS_JITTER,
             robustness_samples,
             ROBUSTNESS_SEED,
-            &mut memo.as_mut(),
+            memo.as_mut(),
         )?;
         for r in &robustness {
             for (axis, v) in [
@@ -602,27 +589,19 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
 
     // Stage 4: α-crossover + verdict-stability ablation over the
     // regime-sensitive mechanisms.
-    stages.push(run_stage("crossovers", || {
+    stages.push(run_stage(engine, "crossovers", |engine| {
         let mechanisms = ablation_mechanisms()?;
         let pairs: Vec<(DesignPoint, DesignPoint)> =
             mechanisms.iter().map(|&(_, x, y)| (x, y)).collect();
         let mut memo = memo.as_mut();
-        let (fixed_work, fixed_time) = match memo.as_deref_mut() {
-            Some(memo) => (
-                alpha_crossover_batch_memo(engine, &pairs, Scenario::FixedWork, memo),
-                alpha_crossover_batch_memo(engine, &pairs, Scenario::FixedTime, memo),
-            ),
-            None => (
-                alpha_crossover_batch(engine, &pairs, Scenario::FixedWork),
-                alpha_crossover_batch(engine, &pairs, Scenario::FixedTime),
-            ),
-        };
+        let fixed_work =
+            alpha_crossover_batch(engine, &pairs, Scenario::FixedWork, memo.as_deref_mut());
+        let fixed_time =
+            alpha_crossover_batch(engine, &pairs, Scenario::FixedTime, memo.as_deref_mut());
         let mut entries: Vec<(String, String)> = Vec::with_capacity(mechanisms.len());
         for ((name, x, y), (fw, ft)) in mechanisms.iter().zip(fixed_work.iter().zip(&fixed_time)) {
-            let stability = match memo.as_deref_mut() {
-                Some(memo) => classify_over_range_memo_on(engine, x, y, E2oRange::FULL, 101, memo)?,
-                None => classify_over_range_on(engine, x, y, E2oRange::FULL, 101)?,
-            };
+            let stability =
+                classify_over_range_on(engine, x, y, E2oRange::FULL, 101, memo.as_deref_mut())?;
             entries.push((
                 (*name).to_string(),
                 format!(
@@ -642,7 +621,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     // Stage 5: the Monte-Carlo wafer defect simulator backing Figure 1's
     // yield substrate. Fixed seed, so the entries are deterministic and
     // the FOCAL_THREADS byte-diff in CI covers the spatial-index kernel.
-    stages.push(run_stage("defect-sim", || {
+    stages.push(run_stage(engine, "defect-sim", |_| {
         let placement = DiePlacement::square(10.0);
         let uniform = DefectSimulator::new(
             Wafer::W300MM,
@@ -808,6 +787,17 @@ mod tests {
         // 9 figure twins + 18 finding twins + taxonomy robustness.
         let scenarios = report.stages.last().expect("scenarios stage");
         assert_eq!(scenarios.entries.len(), 28);
+    }
+
+    #[test]
+    fn stage_names_are_the_stages_a_full_run_reports() {
+        let options = SuiteOptions {
+            scenarios_dir: Some(shipped_scenarios()),
+            ..SuiteOptions::default()
+        };
+        let report = run_suite_with_options(&Engine::serial(), &options);
+        let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+        assert_eq!(names, STAGE_NAMES);
     }
 
     #[test]

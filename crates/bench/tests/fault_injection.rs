@@ -1,19 +1,15 @@
-//! End-to-end fault injection through the suite: an armed fault plan
-//! degrades exactly one stage to `status: error` — with a minimal repro
-//! line — while every other stage completes, and the degraded report is
-//! still byte-identical across thread counts.
-//!
-//! These tests arm the process-global fault plan, so they live in their
-//! own integration-test binary and serialize with a file-local lock.
+//! End-to-end fault injection through the suite: an engine carrying a
+//! fault plan degrades exactly one stage to `status: error` — with a
+//! minimal repro line — while every other stage completes, and the
+//! degraded report is still byte-identical across thread counts. Each
+//! faulted run carries its own plan, so these tests run in parallel.
 
 use focal_bench::suite::{run_suite, StageStatus, SuiteReport};
-use focal_engine::{fault, Engine, FaultPlan};
-use std::sync::{Mutex, PoisonError};
+use focal_engine::{Engine, FaultPlan};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// `engine` carrying the plan parsed from `spec`.
+fn with_plan(engine: Engine, spec: &str) -> Engine {
+    engine.with_faults(Some(FaultPlan::parse(spec).unwrap().leak()))
 }
 
 const STAGE_NAMES: [&str; 5] = [
@@ -51,11 +47,8 @@ fn assert_degraded(report: &SuiteReport, errored: &str) {
 
 #[test]
 fn injected_chunk_panic_degrades_only_the_figures_stage() {
-    let _guard = lock();
-    fault::arm(FaultPlan::parse("panic@figures:3").unwrap());
-    let serial = run_suite(&Engine::serial());
-    let parallel = run_suite(&Engine::with_threads(4));
-    fault::disarm();
+    let serial = run_suite(&with_plan(Engine::serial(), "panic@figures:3"));
+    let parallel = run_suite(&with_plan(Engine::with_threads(4), "panic@figures:3"));
 
     assert_degraded(&serial, "figures");
     assert_degraded(&parallel, "figures");
@@ -69,18 +62,15 @@ fn injected_chunk_panic_degrades_only_the_figures_stage() {
     // Thread-count invariance holds for faulted reports too.
     assert_eq!(serial.to_json(false), parallel.to_json(false));
 
-    // Disarmed, the suite is whole again.
+    // Without the plan, the suite is whole again.
     let clean = run_suite(&Engine::serial());
     assert!(clean.ok(), "{}", clean.human_summary());
 }
 
 #[test]
 fn injected_nan_degrades_only_the_robustness_stage() {
-    let _guard = lock();
-    fault::arm(FaultPlan::parse("nan@mc:1017").unwrap());
-    let serial = run_suite(&Engine::serial());
-    let parallel = run_suite(&Engine::with_threads(4));
-    fault::disarm();
+    let serial = run_suite(&with_plan(Engine::serial(), "nan@mc:1017"));
+    let parallel = run_suite(&with_plan(Engine::with_threads(4), "nan@mc:1017"));
 
     assert_degraded(&serial, "robustness");
     assert_degraded(&parallel, "robustness");
@@ -102,10 +92,7 @@ fn injected_nan_degrades_only_the_robustness_stage() {
 
 #[test]
 fn faulted_json_reports_exactly_one_error_status() {
-    let _guard = lock();
-    fault::arm(FaultPlan::parse("panic@figures:3").unwrap());
-    let report = run_suite(&Engine::serial());
-    fault::disarm();
+    let report = run_suite(&with_plan(Engine::serial(), "panic@figures:3"));
 
     let json = report.to_json(false);
     assert_eq!(json.matches("\"status\": \"error\"").count(), 1, "{json}");

@@ -1,6 +1,7 @@
 //! Strong / weak / less sustainability classification (§4 of the paper).
 
 use crate::design::DesignPoint;
+use crate::memo::SweepMemo;
 use crate::ncf::NcfPair;
 use crate::weight::{E2oRange, E2oWeight};
 use std::fmt;
@@ -191,12 +192,26 @@ pub fn classify_over_range(
     range: E2oRange,
     grid_points: usize,
 ) -> crate::Result<RobustClassification> {
-    classify_over_range_on(&focal_engine::Engine::from_env(), x, y, range, grid_points)
+    classify_over_range_on(
+        &focal_engine::Engine::from_env(),
+        x,
+        y,
+        range,
+        grid_points,
+        None,
+    )
 }
 
 /// [`classify_over_range`] on an explicit engine: the α grid is evaluated
 /// in parallel with [`focal_engine::Engine::try_par_map`], which preserves
 /// grid order, so the result is identical at every thread count.
+///
+/// With a `memo`, grid points whose `(x, y, α)` classification is cached
+/// are answered from it and only the missing points are fanned out. The
+/// result is byte-identical to the unmemoized call — the per-point
+/// classification is a pure function of the cache key. While `engine`
+/// carries a fault plan the memo is bypassed so injected faults reach
+/// the real evaluation path.
 ///
 /// # Errors
 ///
@@ -207,81 +222,20 @@ pub fn classify_over_range_on(
     y: &DesignPoint,
     range: E2oRange,
     grid_points: usize,
+    memo: Option<&mut SweepMemo>,
 ) -> crate::Result<RobustClassification> {
     let grid = range.grid(grid_points)?;
-    let per_alpha: Vec<(E2oWeight, Sustainability)> =
-        engine.try_par_map(0, &grid, |&alpha| (alpha, classify(x, y, alpha).class))?;
-    let mut observed = Vec::new();
-    for (_, class) in &per_alpha {
-        if !observed.contains(class) {
-            observed.push(*class);
-        }
-    }
-    Ok(RobustClassification {
-        at_center: classify(x, y, range.center()).class,
-        observed,
-        per_alpha,
-    })
-}
-
-/// [`classify_over_range_on`] with a [`crate::SweepMemo`]: grid points whose
-/// `(x, y, α)` classification is already cached are answered from the memo,
-/// and only the missing points are fanned out to the engine. The result is
-/// byte-identical to the unmemoized call — the per-point classification is a
-/// pure function of the cache key.
-///
-/// While a fault plan is armed (see [`focal_engine::fault::armed`]) the memo
-/// is bypassed entirely so injected faults reach the real evaluation path.
-///
-/// # Errors
-///
-/// See [`classify_over_range`].
-pub fn classify_over_range_memo_on(
-    engine: &focal_engine::Engine,
-    x: &DesignPoint,
-    y: &DesignPoint,
-    range: E2oRange,
-    grid_points: usize,
-    memo: &mut crate::SweepMemo,
-) -> crate::Result<RobustClassification> {
-    if focal_engine::fault::armed() {
-        return classify_over_range_on(engine, x, y, range, grid_points);
-    }
-    let grid = range.grid(grid_points)?;
-    let mut cached: Vec<Option<Sustainability>> = grid
-        .iter()
-        .map(|&alpha| memo.classify_lookup(x, y, alpha, DEFAULT_TOLERANCE))
-        .collect();
-    let missing: Vec<E2oWeight> = grid
-        .iter()
-        .zip(&cached)
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(&alpha, _)| alpha)
-        .collect();
-    let fresh: Vec<(E2oWeight, Sustainability)> = if missing.is_empty() {
-        Vec::new()
-    } else {
-        engine.try_par_map(0, &missing, |&alpha| (alpha, classify(x, y, alpha).class))?
-    };
-    for &(alpha, class) in &fresh {
-        memo.classify_insert(x, y, alpha, DEFAULT_TOLERANCE, class);
-    }
-    let mut fresh = fresh.into_iter();
-    let mut per_alpha = Vec::with_capacity(grid.len());
-    for (&alpha, hit) in grid.iter().zip(cached.iter_mut()) {
-        let class = match hit.take() {
-            Some(class) => class,
-            None => {
-                fresh
-                    .next()
-                    .ok_or(crate::ModelError::Inconsistent {
-                        constraint: "memoized α grid produced fewer fresh results than misses",
-                    })?
-                    .1
-            }
-        };
-        per_alpha.push((alpha, class));
-    }
+    let mut memo = memo.filter(|_| engine.faults().is_none());
+    let per_alpha = SweepMemo::fan_through(
+        memo.as_deref_mut(),
+        &grid,
+        |m, &alpha| {
+            m.classify_lookup(x, y, alpha, DEFAULT_TOLERANCE)
+                .map(|class| (alpha, class))
+        },
+        |m, &alpha, &(_, class)| m.classify_insert(x, y, alpha, DEFAULT_TOLERANCE, class),
+        |alphas| engine.try_par_map(0, alphas, |&alpha| (alpha, classify(x, y, alpha).class)),
+    )?;
     let mut observed = Vec::new();
     for (_, class) in &per_alpha {
         if !observed.contains(class) {
@@ -289,14 +243,16 @@ pub fn classify_over_range_memo_on(
         }
     }
     let center = range.center();
-    let at_center = match memo.classify_lookup(x, y, center, DEFAULT_TOLERANCE) {
-        Some(class) => class,
-        None => {
-            let class = classify(x, y, center).class;
+    let cached = memo
+        .as_deref_mut()
+        .and_then(|m| m.classify_lookup(x, y, center, DEFAULT_TOLERANCE));
+    let at_center = cached.unwrap_or_else(|| {
+        let class = classify(x, y, center).class;
+        if let Some(memo) = memo {
             memo.classify_insert(x, y, center, DEFAULT_TOLERANCE, class);
-            class
         }
-    };
+        class
+    });
     Ok(RobustClassification {
         at_center,
         observed,

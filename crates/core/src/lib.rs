@@ -71,9 +71,8 @@ mod weight;
 
 pub use analysis::{classify_all, pareto_frontier, Candidate, SweepPoint, SweepSeries};
 pub use classify::{
-    classify, classify_over_range, classify_over_range_memo_on, classify_over_range_on,
-    classify_with_tolerance, Classification, RobustClassification, Sustainability,
-    DEFAULT_TOLERANCE,
+    classify, classify_over_range, classify_over_range_on, classify_with_tolerance, Classification,
+    RobustClassification, Sustainability, DEFAULT_TOLERANCE,
 };
 pub use design::{DesignPoint, DesignPointBuilder};
 pub use error::{ModelError, Result};
@@ -85,8 +84,8 @@ pub use quantity::{CarbonFootprint, Energy, ExecutionTime, Performance, Power, S
 pub use rebound::{deployment_adjusted_weight, lifetime_adjusted_weight};
 pub use scenario::Scenario;
 pub use sensitivity::{
-    alpha_crossover, alpha_crossover_batch, alpha_crossover_batch_memo, blended_ncf,
-    rebound_tolerance, AlphaCrossover, NcfSensitivity,
+    alpha_crossover, alpha_crossover_batch, blended_ncf, rebound_tolerance, AlphaCrossover,
+    NcfSensitivity,
 };
 pub use uncertainty::{ncf_interval, Interval, McSummary, MonteCarloNcf, MC_CHUNK_SAMPLES};
 pub use weight::{E2oRange, E2oWeight};

@@ -23,9 +23,10 @@
 //! can never go stale — a changed input is a different key. The only
 //! ways a cached value could diverge from a fresh evaluation are a
 //! model-code change (a new build, which starts with an empty memo) or
-//! an armed fault plan; the memoized variants bypass the memo entirely
-//! while [`focal_engine::fault::armed`] reports an armed plan so
-//! injected faults always reach the real evaluation path.
+//! an injected fault; every sweep taking `memo: Option<&mut SweepMemo>`
+//! bypasses the memo entirely while its engine carries a fault plan
+//! ([`focal_engine::Engine::faults`]) so injected faults always reach
+//! the real evaluation path.
 //!
 //! ## Determinism and confinement
 //!
@@ -262,8 +263,8 @@ fn scenario_word(s: Scenario) -> u64 {
 /// let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 42)?;
 /// let engine = Engine::serial();
 /// let mut memo = SweepMemo::new();
-/// let cold = mc.run_memo_on(&engine, &x, &y, Scenario::FixedWork, 4096, &mut memo)?;
-/// let warm = mc.run_memo_on(&engine, &x, &y, Scenario::FixedWork, 4096, &mut memo)?;
+/// let cold = mc.run_on(&engine, &x, &y, Scenario::FixedWork, 4096, Some(&mut memo))?;
+/// let warm = mc.run_on(&engine, &x, &y, Scenario::FixedWork, 4096, Some(&mut memo))?;
 /// assert_eq!(cold, warm);
 /// assert_eq!(memo.stats().mc.hits, 1);
 /// # Ok::<(), focal_core::ModelError>(())
@@ -300,6 +301,46 @@ impl SweepMemo {
             crossover: self.crossover.stats(),
             mc: self.mc.stats(),
         }
+    }
+
+    /// Runs `fan` over `items` through an optional memo. Without one
+    /// this is the single call `fan(items)`. With one, `lookup` answers
+    /// the cached items, one `fan` call evaluates the misses alone,
+    /// `insert` records them, and results merge back in item order.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `fan` returns.
+    pub(crate) fn fan_through<T: Clone, R, E>(
+        memo: Option<&mut SweepMemo>,
+        items: &[T],
+        lookup: impl Fn(&mut SweepMemo, &T) -> Option<R>,
+        insert: impl Fn(&mut SweepMemo, &T, &R),
+        fan: impl Fn(&[T]) -> Result<Vec<R>, E>,
+    ) -> Result<Vec<R>, E> {
+        let Some(memo) = memo else {
+            return fan(items);
+        };
+        let cached: Vec<Option<R>> = items.iter().map(|item| lookup(memo, item)).collect();
+        let missing: Vec<T> = items
+            .iter()
+            .zip(&cached)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(item, _)| item.clone())
+            .collect();
+        let fresh = fan(&missing)?;
+        for (item, result) in missing.iter().zip(&fresh) {
+            insert(memo, item, result);
+        }
+        let mut fresh = fresh.into_iter();
+        let merged: Option<Vec<R>> = cached
+            .into_iter()
+            .map(|hit| hit.or_else(|| fresh.next()))
+            .collect();
+        // Misses and fresh results pair up by construction; should the
+        // fan-out ever under-return, recompute the sweep unmemoized
+        // rather than trust a gap.
+        merged.map_or_else(|| fan(items), Ok)
     }
 
     fn classify_key(
@@ -373,8 +414,8 @@ impl SweepMemo {
             .insert(Self::crossover_key(x, y, scenario), result);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn mc_key(
+    /// The Monte-Carlo table key of one experiment.
+    pub(crate) fn mc_key(
         x: &DesignPoint,
         y: &DesignPoint,
         scenario: Scenario,
@@ -403,44 +444,12 @@ impl SweepMemo {
         ]
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn mc_lookup(
-        &mut self,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-        range: E2oRange,
-        ratio_uncertainty: f64,
-        seed: u64,
-        samples: usize,
-    ) -> Option<McSummary> {
-        self.mc.lookup(&Self::mc_key(
-            x,
-            y,
-            scenario,
-            range,
-            ratio_uncertainty,
-            seed,
-            samples,
-        ))
+    pub(crate) fn mc_lookup(&mut self, key: &[u64; 14]) -> Option<McSummary> {
+        self.mc.lookup(key)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn mc_insert(
-        &mut self,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-        range: E2oRange,
-        ratio_uncertainty: f64,
-        seed: u64,
-        samples: usize,
-        summary: McSummary,
-    ) {
-        self.mc.insert(
-            Self::mc_key(x, y, scenario, range, ratio_uncertainty, seed, samples),
-            summary,
-        );
+    pub(crate) fn mc_insert(&mut self, key: [u64; 14], summary: McSummary) {
+        self.mc.insert(key, summary);
     }
 }
 

@@ -8,9 +8,11 @@
 
 use crate::design::DesignPoint;
 use crate::error::Result;
+use crate::memo::SweepMemo;
 use crate::ncf::Ncf;
 use crate::scenario::Scenario;
 use crate::weight::E2oWeight;
+use std::convert::Infallible;
 use std::fmt;
 
 /// Where a comparison stands as a function of α.
@@ -117,58 +119,28 @@ pub fn alpha_crossover(x: &DesignPoint, y: &DesignPoint, scenario: Scenario) -> 
 /// result identical at every thread count. Use
 /// [`focal_engine::Engine::serial`] (or `FOCAL_THREADS=1` with
 /// [`focal_engine::Engine::from_env`]) for the exact serial path.
+///
+/// With a `memo`, pairs whose crossover is cached are answered from it
+/// and only the missing pairs are fanned out; the result is element-wise
+/// identical to the unmemoized call. While `engine` carries a fault plan
+/// the memo is bypassed so injected faults reach the real evaluation
+/// path.
 pub fn alpha_crossover_batch(
     engine: &focal_engine::Engine,
     pairs: &[(DesignPoint, DesignPoint)],
     scenario: Scenario,
+    memo: Option<&mut SweepMemo>,
 ) -> Vec<AlphaCrossover> {
-    engine.par_map(pairs, |(x, y)| alpha_crossover(x, y, scenario))
-}
-
-/// [`alpha_crossover_batch`] with a [`crate::SweepMemo`]: pairs whose
-/// crossover is already cached are answered from the memo and only the
-/// missing pairs are fanned out to the engine, preserving pair order. The
-/// result is element-wise identical to the unmemoized call.
-///
-/// While a fault plan is armed (see [`focal_engine::fault::armed`]) the memo
-/// is bypassed entirely so injected faults reach the real evaluation path.
-pub fn alpha_crossover_batch_memo(
-    engine: &focal_engine::Engine,
-    pairs: &[(DesignPoint, DesignPoint)],
-    scenario: Scenario,
-    memo: &mut crate::SweepMemo,
-) -> Vec<AlphaCrossover> {
-    if focal_engine::fault::armed() {
-        return alpha_crossover_batch(engine, pairs, scenario);
-    }
-    let mut cached: Vec<Option<AlphaCrossover>> = pairs
-        .iter()
-        .map(|(x, y)| memo.crossover_lookup(x, y, scenario))
-        .collect();
-    let missing: Vec<(DesignPoint, DesignPoint)> = pairs
-        .iter()
-        .zip(&cached)
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(&pair, _)| pair)
-        .collect();
-    let fresh = alpha_crossover_batch(engine, &missing, scenario);
-    for ((x, y), result) in missing.iter().zip(&fresh) {
-        memo.crossover_insert(x, y, scenario, *result);
-    }
-    let mut fresh = fresh.into_iter();
-    pairs
-        .iter()
-        .zip(cached.iter_mut())
-        .map(|((x, y), hit)| match hit.take() {
-            Some(result) => result,
-            // Misses and fresh results are in the same order by
-            // construction; recompute serially if the engine ever
-            // under-returned rather than panic.
-            None => fresh
-                .next()
-                .unwrap_or_else(|| alpha_crossover(x, y, scenario)),
-        })
-        .collect()
+    let fanned = SweepMemo::fan_through(
+        memo.filter(|_| engine.faults().is_none()),
+        pairs,
+        |m, (x, y)| m.crossover_lookup(x, y, scenario),
+        |m, (x, y), &result| m.crossover_insert(x, y, scenario, result),
+        |pairs| {
+            Ok::<_, Infallible>(engine.par_map(pairs, |(x, y)| alpha_crossover(x, y, scenario)))
+        },
+    );
+    fanned.unwrap_or_else(|never| match never {})
 }
 
 /// First-order sensitivities of one NCF evaluation: how much the value
@@ -409,6 +381,7 @@ mod tests {
                 &focal_engine::Engine::with_threads(threads),
                 &pairs,
                 Scenario::FixedWork,
+                None,
             );
             assert_eq!(got, want, "threads={threads}");
         }

@@ -13,14 +13,21 @@
 use crate::design::DesignPoint;
 use crate::error::{ensure_finite, ensure_positive, ModelError, Result};
 use crate::mc_kernel::{self, McParams, MC_GROUP_CHUNKS};
+use crate::memo::SweepMemo;
 use crate::ncf::Ncf;
 use crate::scenario::Scenario;
 use crate::weight::E2oRange;
+use focal_engine::fault::MC_SITE;
 use focal_engine::{chunk_count, chunk_seed, Engine};
 use rand::distributions::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
+
+/// The global sample index `engine`'s fault plan poisons with NaN.
+fn nan_target(engine: &Engine) -> Option<u64> {
+    engine.faults()?.nan_target(MC_SITE)
+}
 
 /// Samples drawn per Monte-Carlo chunk.
 ///
@@ -339,10 +346,11 @@ impl MonteCarloNcf {
         scenario: Scenario,
         samples: usize,
     ) -> Result<McSummary> {
-        self.run_on(&Engine::from_env(), x, y, scenario, samples)
+        self.run_on(&Engine::from_env(), x, y, scenario, samples, None)
     }
 
-    /// [`MonteCarloNcf::run`] on an explicit [`Engine`].
+    /// [`MonteCarloNcf::run`] on an explicit [`Engine`], optionally
+    /// through a [`SweepMemo`].
     ///
     /// Sampling is chunked in blocks of [`MC_CHUNK_SAMPLES`]: chunk `c`
     /// seeds its own `StdRng` from `seed + c` and chunk streams occupy
@@ -358,15 +366,23 @@ impl MonteCarloNcf {
     /// depends only on the sorted multiset of samples.
     /// [`MonteCarloNcf::run_scalar_on`] is the pinned pre-SoA reference.
     ///
+    /// With a `memo`, an experiment with an identical `(x, y, scenario,
+    /// α range, jitter, seed, samples)` key is answered from it, and a
+    /// miss runs the sampler and caches the summary, so repeated sweeps
+    /// (e.g. the robustness study and its scenario-DSL twin) pay for
+    /// each distinct experiment once. While `engine` carries a fault
+    /// plan the memo is bypassed so injected faults reach the sampler.
+    ///
     /// # Errors
     ///
     /// * [`ModelError::OutOfRange`] if `samples == 0`.
-    /// * [`ModelError::ChunkPoisoned`] if a sampling chunk panics (or an
-    ///   armed fault plan targets one); the error names the lowest failing
-    ///   chunk and its derived seed, identically at every thread count.
+    /// * [`ModelError::ChunkPoisoned`] if a sampling chunk panics (or the
+    ///   engine's fault plan targets one); the error names the lowest
+    ///   failing chunk and its derived seed, identically at every thread
+    ///   count.
     /// * [`ModelError::NonFiniteOutput`] if any drawn NCF value is NaN or
-    ///   infinite (including values poisoned by an armed `nan@mc:<index>`
-    ///   fault plan) — the tripwire fires before any summary statistic is
+    ///   infinite (including values poisoned by a `nan@mc:<index>` fault
+    ///   plan) — the tripwire fires before any summary statistic is
     ///   computed, naming the lowest offending sample index.
     pub fn run_on(
         &self,
@@ -375,10 +391,21 @@ impl MonteCarloNcf {
         y: &DesignPoint,
         scenario: Scenario,
         samples: usize,
+        memo: Option<&mut SweepMemo>,
     ) -> Result<McSummary> {
+        let mut memo = memo.filter(|_| samples > 0 && engine.faults().is_none());
+        let (range, jitter, seed) = (self.range, self.ratio_uncertainty, self.seed);
+        let key = SweepMemo::mc_key(x, y, scenario, range, jitter, seed, samples);
+        if let Some(summary) = memo.as_deref_mut().and_then(|m| m.mc_lookup(&key)) {
+            return Ok(summary);
+        }
         let mut values = self.sample_values_on(engine, x, y, scenario, samples)?;
         values.sort_by(|a, b| a.total_cmp(b));
-        Ok(Self::summarize(&values))
+        let summary = Self::summarize(&values);
+        if let Some(memo) = memo {
+            memo.mc_insert(key, summary.clone());
+        }
+        Ok(summary)
     }
 
     /// Pinned scalar reference implementation of [`MonteCarloNcf::run_on`]:
@@ -404,59 +431,8 @@ impl MonteCarloNcf {
         Ok(Self::summarize(&values))
     }
 
-    /// [`MonteCarloNcf::run_on`] with a [`crate::SweepMemo`]: an experiment
-    /// with an identical `(x, y, scenario, α range, jitter, seed, samples)`
-    /// key is answered from the memo; a miss runs the real sampler and
-    /// caches the summary. Repeated sweeps (e.g. the robustness study and
-    /// its scenario-DSL twin) therefore pay for each distinct experiment
-    /// once.
-    ///
-    /// While a fault plan is armed (see [`focal_engine::fault::armed`]) the
-    /// memo is bypassed entirely so injected faults reach the real sampler.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloNcf::run`]; `samples == 0` is rejected before the
-    /// memo is consulted.
-    pub fn run_memo_on(
-        &self,
-        engine: &Engine,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-        samples: usize,
-        memo: &mut crate::SweepMemo,
-    ) -> Result<McSummary> {
-        if samples == 0 || focal_engine::fault::armed() {
-            return self.run_on(engine, x, y, scenario, samples);
-        }
-        if let Some(summary) = memo.mc_lookup(
-            x,
-            y,
-            scenario,
-            self.range,
-            self.ratio_uncertainty,
-            self.seed,
-            samples,
-        ) {
-            return Ok(summary);
-        }
-        let summary = self.run_on(engine, x, y, scenario, samples)?;
-        memo.mc_insert(
-            x,
-            y,
-            scenario,
-            self.range,
-            self.ratio_uncertainty,
-            self.seed,
-            samples,
-            summary.clone(),
-        );
-        Ok(summary)
-    }
-
     /// Draws the raw sample buffer through the SoA lockstep kernel,
-    /// applies any armed `nan@mc:<index>` fault poke, and runs the
+    /// applies the engine's `nan@mc:<index>` fault poke, if any, and runs the
     /// non-finite tripwire. Exposed (for benchmarks and differential
     /// tests) because it isolates generation cost from the sort and
     /// summary that [`MonteCarloNcf::run_on`] adds on top.
@@ -501,12 +477,12 @@ impl MonteCarloNcf {
             |c0, out| mc_kernel::fill_unit(seed, c0, &params, out),
         )?;
         let interleaved = mc_kernel::lockstep_enabled();
-        // Armed `nan@mc:<sample>` fault plans poison exactly one global
+        // A `nan@mc:<sample>` fault plan poisons exactly one global
         // sample index. The poke lands *after* the fill so the RNG draw
         // stream is untouched (the scalar loop drew all three words
         // before overwriting, too); `buffer_index` routes the logical
         // index through the kernel's layout.
-        if let Some(target) = focal_engine::fault::nan_target("mc") {
+        if let Some(target) = nan_target(engine) {
             if let Ok(target) = usize::try_from(target) {
                 let pos = mc_kernel::buffer_index(target, samples, interleaved);
                 if let Some(v) = values.get_mut(pos) {
@@ -563,13 +539,12 @@ impl MonteCarloNcf {
         }
         let params = self.params(x, y, scenario);
         let n_chunks = chunk_count(samples, MC_CHUNK_SAMPLES);
+        // A `nan@mc:<sample>` fault plan poisons exactly one global
+        // sample index, so the poisoned sample is the same at every
+        // thread count.
+        let nan_at = nan_target(engine);
         let chunks: Vec<Vec<f64>> = engine.try_par_chunk_map(self.seed, n_chunks, |c| {
             let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, c));
-            // Armed `nan@mc:<sample>` fault plans poison exactly one
-            // global sample index; disarmed runs pay one atomic load per
-            // chunk. The index is global, so the poisoned sample is the
-            // same at every thread count.
-            let nan_at = focal_engine::fault::nan_target("mc");
             let lo = c * MC_CHUNK_SAMPLES;
             let hi = (lo + MC_CHUNK_SAMPLES).min(samples);
             (lo..hi)
@@ -748,7 +723,14 @@ mod tests {
         // 3 chunks (two full, one partial) exercises uneven chunk shapes.
         let samples = 2 * MC_CHUNK_SAMPLES + 123;
         let serial = mc
-            .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, samples)
+            .run_on(
+                &Engine::serial(),
+                &x,
+                &y,
+                Scenario::FixedWork,
+                samples,
+                None,
+            )
             .unwrap();
         for threads in [2, 3, 7] {
             let par = mc
@@ -758,6 +740,7 @@ mod tests {
                     &y,
                     Scenario::FixedWork,
                     samples,
+                    None,
                 )
                 .unwrap();
             // PartialEq on McSummary compares every field with f64 `==`,

@@ -1,43 +1,38 @@
-//! Fault injection against the Monte-Carlo sampler.
-//!
-//! These tests arm the process-global fault plan, so they live in their
-//! own integration-test binary (nothing else in this process evaluates
-//! the model while a plan is armed) and serialize among themselves with
-//! a file-local lock.
+//! Fault injection against the Monte-Carlo sampler. Each faulted run
+//! uses an engine that carries its own plan, so the tests run in
+//! parallel with each other and with clean runs.
 
-use focal_core::{DesignPoint, E2oRange, ModelError, MonteCarloNcf, Scenario, MC_CHUNK_SAMPLES};
-use focal_engine::{fault, Engine, FaultPlan};
-use std::sync::{Mutex, PoisonError};
+use focal_core::{
+    DesignPoint, E2oRange, ModelError, MonteCarloNcf, Scenario, SweepMemo, MC_CHUNK_SAMPLES,
+};
+use focal_engine::{Engine, FaultPlan};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// `engine` carrying the plan parsed from `spec`.
+fn with_plan(engine: Engine, spec: &str) -> Engine {
+    engine.with_faults(Some(FaultPlan::parse(spec).unwrap().leak()))
 }
 
 #[test]
 fn injected_nan_trips_the_finiteness_tripwire_identically_at_every_thread_count() {
-    let _guard = lock();
     let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
     let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 7).unwrap();
     let samples = MC_CHUNK_SAMPLES + 500;
 
-    fault::arm(FaultPlan::parse("nan@mc:1017").unwrap());
     let errors: Vec<ModelError> = [1, 2, 7]
         .iter()
         .map(|&threads| {
             mc.run_on(
-                &Engine::with_threads(threads),
+                &with_plan(Engine::with_threads(threads), "nan@mc:1017"),
                 &x,
                 &y,
                 Scenario::FixedWork,
                 samples,
+                None,
             )
             .unwrap_err()
         })
         .collect();
-    fault::disarm();
 
     // `ModelError`'s derived equality is useless here (NaN != NaN), so
     // compare the rendered diagnostics — the part a user would repro from.
@@ -57,25 +52,30 @@ fn injected_nan_trips_the_finiteness_tripwire_identically_at_every_thread_count(
         }
     }
 
-    // Disarmed, the same experiment succeeds again: injection leaves no
-    // residue in the sampler or the engine.
+    // Without the plan, the same experiment succeeds again: injection
+    // leaves no residue in the sampler or the engine.
     assert!(mc
-        .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, samples)
+        .run_on(
+            &Engine::serial(),
+            &x,
+            &y,
+            Scenario::FixedWork,
+            samples,
+            None
+        )
         .is_ok());
 }
 
 #[test]
 fn nan_injection_outside_the_drawn_range_is_inert() {
-    let _guard = lock();
     let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
     let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 7).unwrap();
 
-    fault::arm(FaultPlan::parse("nan@mc:999999").unwrap());
-    let armed = mc.run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 1000);
-    fault::disarm();
+    let faulted = with_plan(Engine::serial(), "nan@mc:999999");
+    let armed = mc.run_on(&faulted, &x, &y, Scenario::FixedWork, 1000, None);
     let clean = mc
-        .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 1000)
+        .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 1000, None)
         .unwrap();
 
     // A plan whose index is never drawn must not perturb the samples.
@@ -84,25 +84,21 @@ fn nan_injection_outside_the_drawn_range_is_inert() {
 
 #[test]
 fn injected_chunk_panic_surfaces_as_chunk_poisoned() {
-    let _guard = lock();
     let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
     let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 40).unwrap();
     let samples = 3 * MC_CHUNK_SAMPLES;
 
-    fault::arm(FaultPlan::parse("panic@mc-test:2").unwrap());
-    fault::enter_site("mc-test");
     let err = mc
         .run_on(
-            &Engine::with_threads(4),
+            &with_plan(Engine::with_threads(4), "panic@mc-test:2").at_site("mc-test"),
             &x,
             &y,
             Scenario::FixedWork,
             samples,
+            None,
         )
         .unwrap_err();
-    fault::leave_site();
-    fault::disarm();
 
     match err {
         ModelError::ChunkPoisoned {
@@ -116,4 +112,20 @@ fn injected_chunk_panic_surfaces_as_chunk_poisoned() {
         }
         other => panic!("expected ChunkPoisoned, got {other}"),
     }
+}
+
+#[test]
+fn a_warm_memo_never_hides_an_injected_fault() {
+    let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
+    let y = DesignPoint::reference();
+    let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 7).unwrap();
+    let mut memo = SweepMemo::new();
+    let mut run =
+        |engine: Engine| mc.run_on(&engine, &x, &y, Scenario::FixedWork, 2000, Some(&mut memo));
+    assert!(run(Engine::serial()).is_ok());
+    // The memo holds this exact experiment, but an engine carrying a
+    // plan bypasses it, so the injected NaN still reaches the sampler.
+    let faulted = run(with_plan(Engine::serial(), "nan@mc:1017"));
+    assert!(matches!(faulted, Err(ModelError::NonFiniteOutput { .. })));
+    assert_eq!(memo.stats().mc.hits, 0);
 }

@@ -5,13 +5,12 @@
 //!    ([`MonteCarloNcf::run_scalar_on`]) — same draw stream, same sorted
 //!    sample multiset, same summary — at every thread count and sample
 //!    count, including tails and sub-chunk runs.
-//! 2. The memoized sweep variants must return exactly what their
-//!    unmemoized twins return, on cold and warm caches alike.
+//! 2. Memoized sweeps must return exactly what the same calls return
+//!    without a memo, on cold and warm caches alike.
 
 use focal_core::{
-    alpha_crossover_batch, alpha_crossover_batch_memo, classify_over_range_memo_on,
-    classify_over_range_on, DesignPoint, E2oRange, MonteCarloNcf, Scenario, SweepMemo,
-    MC_CHUNK_SAMPLES, MC_GROUP_CHUNKS,
+    alpha_crossover_batch, classify_over_range_on, DesignPoint, E2oRange, MonteCarloNcf, Scenario,
+    SweepMemo, MC_CHUNK_SAMPLES, MC_GROUP_CHUNKS,
 };
 use focal_engine::Engine;
 use proptest::prelude::*;
@@ -69,7 +68,7 @@ proptest! {
         for threads in [1usize, 2, 7] {
             let engine = Engine::with_threads(threads);
             let soa = mc
-                .run_on(&engine, &x, &y, Scenario::FixedWork, samples)
+                .run_on(&engine, &x, &y, Scenario::FixedWork, samples, None)
                 .expect("samples >= 1");
             prop_assert_eq!(&soa, &oracle, "summary diverges at {} threads", threads);
             let soa_bits = sorted_bits(
@@ -93,32 +92,32 @@ proptest! {
 
         let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, seed).expect("valid jitter");
         let samples = 2 * MC_CHUNK_SAMPLES + 257;
-        let plain = mc.run_on(&engine, &x, &y, Scenario::FixedWork, samples).expect("runs");
+        let plain = mc.run_on(&engine, &x, &y, Scenario::FixedWork, samples, None).expect("runs");
         let cold = mc
-            .run_memo_on(&engine, &x, &y, Scenario::FixedWork, samples, &mut memo)
+            .run_on(&engine, &x, &y, Scenario::FixedWork, samples, Some(&mut memo))
             .expect("runs");
         let warm = mc
-            .run_memo_on(&engine, &x, &y, Scenario::FixedWork, samples, &mut memo)
+            .run_on(&engine, &x, &y, Scenario::FixedWork, samples, Some(&mut memo))
             .expect("runs");
         prop_assert_eq!(&cold, &plain);
         prop_assert_eq!(&warm, &plain);
         prop_assert_eq!(memo.stats().mc.hits, 1);
 
-        let plain = classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 31).expect("runs");
+        let plain = classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 31, None).expect("runs");
         let cold =
-            classify_over_range_memo_on(&engine, &x, &y, E2oRange::FULL, 31, &mut memo)
+            classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 31, Some(&mut memo))
                 .expect("runs");
         let warm =
-            classify_over_range_memo_on(&engine, &x, &y, E2oRange::FULL, 31, &mut memo)
+            classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 31, Some(&mut memo))
                 .expect("runs");
         prop_assert_eq!(&cold, &plain);
         prop_assert_eq!(&warm, &plain);
 
         let pairs = [(x, y), (y, x), (x, y)];
         for scenario in [Scenario::FixedWork, Scenario::FixedTime] {
-            let plain = alpha_crossover_batch(&engine, &pairs, scenario);
-            let cold = alpha_crossover_batch_memo(&engine, &pairs, scenario, &mut memo);
-            let warm = alpha_crossover_batch_memo(&engine, &pairs, scenario, &mut memo);
+            let plain = alpha_crossover_batch(&engine, &pairs, scenario, None);
+            let cold = alpha_crossover_batch(&engine, &pairs, scenario, Some(&mut memo));
+            let warm = alpha_crossover_batch(&engine, &pairs, scenario, Some(&mut memo));
             prop_assert_eq!(&cold, &plain);
             prop_assert_eq!(&warm, &plain);
         }
@@ -131,14 +130,14 @@ proptest! {
     fn overlapping_grids_share_cached_points(x in arb_design(), y in arb_design()) {
         let engine = Engine::serial();
         let mut memo = SweepMemo::new();
-        classify_over_range_memo_on(&engine, &x, &y, E2oRange::FULL, 11, &mut memo)
+        classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 11, Some(&mut memo))
             .expect("runs");
         let misses_after_coarse = memo.stats().classify.misses;
         // The 21-point FULL grid contains every 11-point grid value.
         let fine =
-            classify_over_range_memo_on(&engine, &x, &y, E2oRange::FULL, 21, &mut memo)
+            classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 21, Some(&mut memo))
                 .expect("runs");
-        let plain = classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 21).expect("runs");
+        let plain = classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 21, None).expect("runs");
         prop_assert_eq!(&fine, &plain);
         let stats = memo.stats().classify;
         prop_assert!(stats.hits >= 11, "coarse grid points should all hit, got {:?}", stats);
@@ -158,7 +157,7 @@ fn mc_summary_with_one_sample_collapses_all_percentiles() {
     let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 9).expect("valid jitter");
     let s = mc
-        .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 1)
+        .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 1, None)
         .expect("one sample is allowed");
     assert_eq!(s.samples, 1);
     assert_eq!(s.std_dev, 0.0);
@@ -176,7 +175,7 @@ fn mc_summary_with_two_samples_uses_nearest_rank_percentiles() {
     let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 9).expect("valid jitter");
     let s = mc
-        .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 2)
+        .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 2, None)
         .expect("two samples are allowed");
     assert_eq!(s.samples, 2);
     assert!(s.min <= s.max);

@@ -13,13 +13,12 @@
 //!
 //! ## Fault injection
 //!
-//! The rest of this module is a process-global, deterministic
-//! fault-injection plan used by the reproduction suite's `--inject` flag,
-//! `focal-serve --inject`, and the fault-tolerance tests. A [`FaultPlan`]
-//! names a *site* (the suite stage for chunk panics, a sampler label such
-//! as `mc` for NaN poisoning, the literal `serve` for serving-layer
-//! faults) plus optional connection/index qualifiers, parsed from the
-//! spec grammar
+//! The rest of this module is the deterministic fault-injection plan
+//! used by the reproduction suite's `--inject` flag, `focal-serve
+//! --inject`, and the fault-tolerance tests. A [`FaultPlan`] names a
+//! *site* (the suite stage for chunk panics, [`MC_SITE`] for NaN
+//! poisoning, [`SERVE_SITE`] for serving-layer faults) plus optional
+//! connection/index qualifiers, parsed from the spec grammar
 //!
 //! ```text
 //! <kind>@<site>[:conn<N>][:<index>][:<millis>ms]
@@ -39,17 +38,16 @@
 //! chunk/sample index for engine sites; `latency` without an index stalls
 //! every request its connection filter matches.
 //!
-//! The plan is disarmed by default and gated behind one relaxed atomic
-//! load, so production runs pay (near) nothing. Injected chunk panics are
-//! raised *inside* the engine's chunk isolation and therefore surface as
-//! ordinary [`ChunkError`]s — the injection harness proves the isolation
-//! machinery end to end with the exact failure modes it exists for. The
-//! serving layer queries its own faults through [`serve_panic_target`],
-//! [`serve_latency`], [`serve_short_read`] and [`serve_short_write`].
+//! A plan travels in the [`crate::Engine`] value that runs the work
+//! ([`crate::Engine::with_faults`], [`crate::Engine::at_site`]), never in
+//! process-wide state, and costs one field read per chunk without one.
+//! Injected chunk panics are raised *inside* the engine's chunk
+//! isolation and therefore surface as ordinary [`ChunkError`]s — the
+//! injection harness proves the isolation machinery end to end with the
+//! exact failure modes it exists for. Other layers query the plan they
+//! are given ([`FaultPlan::nan_target`], the `serve_*` methods).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// A chunk of a parallel operation panicked (or had a fault injected).
@@ -85,7 +83,8 @@ impl std::error::Error for ChunkError {}
 /// payloads verbatim, nested [`ChunkError`]s via their `Display` (so a
 /// failure inside a nested engine operation keeps its chunk context),
 /// anything else as a placeholder.
-pub(crate) fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
+#[must_use]
+pub fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -127,13 +126,19 @@ impl FaultKind {
     }
 }
 
+/// The site label the Monte-Carlo sampler answers to (`--inject nan@mc:1017`).
+pub const MC_SITE: &str = "mc";
+
+/// The site name serving-layer faults target (`--inject panic@serve:3`).
+pub const SERVE_SITE: &str = "serve";
+
 /// One deterministic injected fault: *kind* at *site*, with optional
 /// connection and index qualifiers.
 ///
 /// Sites are strings so the plan can name any instrumented location:
-/// suite stage names (`figures`, `findings`, `robustness`, `crossovers`,
-/// `defect-sim`) for chunk panics, sampler labels (`mc`) for NaN
-/// poisoning, and [`SERVE_SITE`] for serving-layer faults.
+/// the site an [`crate::Engine`] is labelled with (the suite's stage
+/// names) for chunk panics, [`MC_SITE`] for NaN poisoning, and
+/// [`SERVE_SITE`] for serving-layer faults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// What the fault does when it triggers.
@@ -251,189 +256,93 @@ impl FaultPlan {
         }
         out
     }
+
+    /// Moves the plan to the heap for the rest of the process, so a
+    /// `Copy` [`crate::Engine`] can carry it.
+    #[must_use]
+    pub fn leak(self) -> &'static FaultPlan {
+        Box::leak(Box::new(self))
+    }
+
+    /// [`FaultPlan::parse`] for a binary that can fire only `sites`: a
+    /// plan whose site is not listed could never fire, so it is an
+    /// error rather than a silent no-op.
+    ///
+    /// # Errors
+    ///
+    /// The grammar error, or one naming the site and every valid site.
+    pub fn parse_for(spec: &str, sites: &[&str]) -> Result<FaultPlan, String> {
+        let plan = FaultPlan::parse(spec)?;
+        if sites.contains(&plan.site.as_str()) {
+            Ok(plan)
+        } else {
+            Err(format!(
+                "fault site `{}` in `{spec}` can never fire here; valid sites: {}",
+                plan.site,
+                sites.join(", ")
+            ))
+        }
+    }
+
+    /// The injected fault description if this is a panic plan for
+    /// `chunk` of an engine operation running at `site`.
+    pub(crate) fn injected_chunk_fault(&self, site: &str, chunk: usize) -> Option<String> {
+        (self.kind == FaultKind::Panic && self.site == site && self.index == Some(chunk as u64))
+            .then(|| format!("injected fault: {self}"))
+    }
+
+    /// The sample index this plan poisons with NaN at `site`, if any.
+    #[must_use]
+    pub fn nan_target(&self, site: &str) -> Option<u64> {
+        self.index
+            .filter(|_| self.kind == FaultKind::Nan && self.site == site)
+    }
+
+    /// Whether this is a serve-site plan whose connection filter
+    /// matches connection `conn` (no filter matches every connection).
+    #[must_use]
+    pub fn targets_serve_conn(&self, conn: u64) -> bool {
+        self.site == SERVE_SITE && self.conn.map_or(true, |c| c == conn)
+    }
+
+    /// The per-connection request ordinal a `panic@serve` plan targets
+    /// on connection `conn`, if any.
+    #[must_use]
+    pub fn serve_panic_target(&self, conn: u64) -> Option<u64> {
+        self.index
+            .filter(|_| self.kind == FaultKind::Panic && self.targets_serve_conn(conn))
+    }
+
+    /// The injected stall for request `request` on connection `conn`,
+    /// if this is a matching `latency@serve` plan (a plan without an
+    /// index stalls every request its connection filter matches).
+    #[must_use]
+    pub fn serve_latency(&self, conn: u64, request: u64) -> Option<Duration> {
+        let matches = self.kind == FaultKind::Latency
+            && self.targets_serve_conn(conn)
+            && self.index.map_or(true, |i| i == request);
+        matches.then(|| Duration::from_millis(self.millis))
+    }
+
+    /// Whether this `shortread@serve` plan targets connection `conn`
+    /// (reads should be delivered a few bytes at a time).
+    #[must_use]
+    pub fn serve_short_read(&self, conn: u64) -> bool {
+        self.kind == FaultKind::ShortRead && self.targets_serve_conn(conn)
+    }
+
+    /// Whether this `shortwrite@serve` plan targets connection `conn`
+    /// (response writes should be split into tiny partial writes).
+    #[must_use]
+    pub fn serve_short_write(&self, conn: u64) -> bool {
+        self.kind == FaultKind::ShortWrite && self.targets_serve_conn(conn)
+    }
 }
 
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.spec())
     }
-}
-
-/// Fast disarmed check: one relaxed load on every instrumented path.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-/// The armed plan plus the currently entered site, behind one lock (the
-/// lock is only taken when [`ARMED`] reads true, or by the arm/disarm and
-/// site-entry control paths that run once per stage, not per chunk).
-static STATE: Mutex<FaultState> = Mutex::new(FaultState {
-    plan: None,
-    site: None,
-});
-
-struct FaultState {
-    plan: Option<FaultPlan>,
-    site: Option<String>,
-}
-
-fn state() -> std::sync::MutexGuard<'static, FaultState> {
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Arms `plan` process-wide. Intended for fault-injection tests and the
-/// suite's `--inject` flag only; callers that arm must [`disarm`] (or
-/// exit) afterwards, and concurrent tests sharing a process must
-/// serialize around the armed window.
-pub fn arm(plan: FaultPlan) {
-    let mut s = state();
-    s.plan = Some(plan);
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Disarms any armed plan (idempotent).
-pub fn disarm() {
-    let mut s = state();
-    s.plan = None;
-    ARMED.store(false, Ordering::Release);
-}
-
-/// `true` while a plan is armed — instrumented hot paths use this as
-/// their zero-cost early-out before doing any per-sample matching.
-#[inline]
-#[must_use]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Acquire)
-}
-
-/// The spec string of the armed plan, if any — used by injection sites
-/// to label the synthetic fault they raise.
-#[must_use]
-pub fn armed_spec() -> Option<String> {
-    if !armed() {
-        return None;
-    }
-    state().plan.as_ref().map(FaultPlan::spec)
-}
-
-/// Enters a named injection site (the suite calls this once per stage).
-/// Chunk-panic faults only fire while their site is entered.
-pub fn enter_site(name: &str) {
-    if let Ok(mut s) = STATE.lock().map_err(|_| ()) {
-        s.site = Some(name.to_string());
-    }
-}
-
-/// Leaves the current site (chunk-panic faults stop firing).
-pub fn leave_site() {
-    if let Ok(mut s) = STATE.lock().map_err(|_| ()) {
-        s.site = None;
-    }
-}
-
-/// Called by the engine at every chunk boundary: returns the injected
-/// fault description if an armed panic-fault targets `chunk` of the
-/// currently entered site.
-pub(crate) fn injected_chunk_fault(chunk: usize) -> Option<String> {
-    if !armed() {
-        return None;
-    }
-    let s = state();
-    let plan = s.plan.as_ref()?;
-    let site = s.site.as_deref()?;
-    if plan.kind == FaultKind::Panic && plan.site == site && plan.index == Some(chunk as u64) {
-        Some(format!("injected fault: {}", plan.spec()))
-    } else {
-        None
-    }
-}
-
-/// Returns the sample index an armed NaN-fault targets at `site`, if any.
-/// Instrumented samplers fetch this once per chunk and compare sample
-/// indices locally, so the disarmed cost is one atomic load per chunk.
-#[must_use]
-pub fn nan_target(site: &str) -> Option<u64> {
-    if !armed() {
-        return None;
-    }
-    let s = state();
-    let plan = s.plan.as_ref()?;
-    if plan.kind == FaultKind::Nan && plan.site == site {
-        plan.index
-    } else {
-        None
-    }
-}
-
-/// The site name serving-layer faults target (`--inject panic@serve:3`).
-pub const SERVE_SITE: &str = "serve";
-
-/// Runs `f` on the armed plan if it targets the serve site; the common
-/// armed-check + site filter for every serve-layer query below.
-fn serve_plan<T>(f: impl FnOnce(&FaultPlan) -> Option<T>) -> Option<T> {
-    if !armed() {
-        return None;
-    }
-    let s = state();
-    let plan = s.plan.as_ref()?;
-    if plan.site != SERVE_SITE {
-        return None;
-    }
-    f(plan)
-}
-
-/// Whether `plan`'s connection filter matches connection `conn`.
-fn conn_matches(plan: &FaultPlan, conn: u64) -> bool {
-    plan.conn.map_or(true, |c| c == conn)
-}
-
-/// The per-connection request ordinal an armed `panic@serve` fault
-/// targets on connection `conn`, if any.
-#[must_use]
-pub fn serve_panic_target(conn: u64) -> Option<u64> {
-    serve_plan(|p| {
-        if p.kind == FaultKind::Panic && conn_matches(p, conn) {
-            p.index
-        } else {
-            None
-        }
-    })
-}
-
-/// The injected stall for request `request` on connection `conn`, if an
-/// armed `latency@serve` fault matches (a plan without an index stalls
-/// every request its connection filter matches).
-#[must_use]
-pub fn serve_latency(conn: u64, request: u64) -> Option<Duration> {
-    serve_plan(|p| {
-        let matches = p.kind == FaultKind::Latency
-            && conn_matches(p, conn)
-            && p.index.map_or(true, |i| i == request);
-        matches.then(|| Duration::from_millis(p.millis))
-    })
-}
-
-/// Whether an armed `shortread@serve` fault targets connection `conn`
-/// (reads should be delivered a few bytes at a time).
-#[must_use]
-pub fn serve_short_read(conn: u64) -> bool {
-    serve_plan(|p| (p.kind == FaultKind::ShortRead && conn_matches(p, conn)).then_some(()))
-        .is_some()
-}
-
-/// Whether an armed `shortwrite@serve` fault targets connection `conn`
-/// (response writes should be split into tiny partial writes).
-#[must_use]
-pub fn serve_short_write(conn: u64) -> bool {
-    serve_plan(|p| (p.kind == FaultKind::ShortWrite && conn_matches(p, conn)).then_some(()))
-        .is_some()
-}
-
-/// Serializes unit tests (across this crate's modules) that arm the
-/// process-global plan, so they stay order-independent under the parallel
-/// test runner.
-#[cfg(test)]
-pub(crate) fn tests_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -496,43 +405,42 @@ mod tests {
 
     #[test]
     fn serve_queries_respect_kind_conn_and_index() {
-        let _guard = tests_lock();
-        assert_eq!(serve_panic_target(0), None);
+        let plan = |spec: &str| FaultPlan::parse(spec).unwrap();
 
-        arm(FaultPlan::parse("panic@serve:3").unwrap());
-        assert_eq!(serve_panic_target(0), Some(3));
-        assert_eq!(serve_panic_target(7), Some(3), "no conn filter = any conn");
-        assert_eq!(serve_latency(0, 3), None);
-        assert!(!serve_short_read(0));
+        let p = plan("panic@serve:3");
+        assert_eq!(p.serve_panic_target(0), Some(3));
+        assert_eq!(p.serve_panic_target(7), Some(3)); // no conn filter
+        assert_eq!(p.serve_latency(0, 3), None);
+        assert!(!p.serve_short_read(0));
+        assert!(p.targets_serve_conn(7));
 
-        arm(FaultPlan::parse("panic@serve:conn2:3").unwrap());
-        assert_eq!(serve_panic_target(2), Some(3));
-        assert_eq!(serve_panic_target(1), None);
+        let p = plan("panic@serve:conn2:3");
+        assert_eq!(p.serve_panic_target(2), Some(3));
+        assert_eq!(p.serve_panic_target(1), None);
+        assert!(p.targets_serve_conn(2));
+        assert!(!p.targets_serve_conn(1));
 
-        arm(FaultPlan::parse("latency@serve:conn2:50ms").unwrap());
-        assert_eq!(serve_latency(2, 0), Some(Duration::from_millis(50)));
-        assert_eq!(serve_latency(2, 99), Some(Duration::from_millis(50)));
-        assert_eq!(serve_latency(1, 0), None);
+        let p = plan("latency@serve:conn2:50ms");
+        assert_eq!(p.serve_latency(2, 0), Some(Duration::from_millis(50)));
+        assert_eq!(p.serve_latency(2, 99), Some(Duration::from_millis(50)));
+        assert_eq!(p.serve_latency(1, 0), None);
 
-        arm(FaultPlan::parse("latency@serve:1:20ms").unwrap());
-        assert_eq!(serve_latency(0, 1), Some(Duration::from_millis(20)));
-        assert_eq!(serve_latency(0, 2), None);
+        let p = plan("latency@serve:1:20ms");
+        assert_eq!(p.serve_latency(0, 1), Some(Duration::from_millis(20)));
+        assert_eq!(p.serve_latency(0, 2), None);
 
-        arm(FaultPlan::parse("shortread@serve:conn0").unwrap());
-        assert!(serve_short_read(0));
-        assert!(!serve_short_read(1));
-        assert!(!serve_short_write(0));
+        let p = plan("shortread@serve:conn0");
+        assert!(p.serve_short_read(0));
+        assert!(!p.serve_short_read(1));
+        assert!(!p.serve_short_write(0));
 
-        arm(FaultPlan::parse("shortwrite@serve").unwrap());
-        assert!(serve_short_write(0));
-        assert!(serve_short_write(5));
+        let p = plan("shortwrite@serve");
+        assert!(p.serve_short_write(0));
+        assert!(p.serve_short_write(5));
 
-        arm(FaultPlan::parse("panic@figures:3").unwrap());
-        assert_eq!(serve_panic_target(0), None, "wrong site");
-
-        disarm();
-        assert_eq!(serve_panic_target(0), None);
-        assert_eq!(serve_latency(0, 0), None);
+        let p = plan("panic@figures:3");
+        assert_eq!(p.serve_panic_target(0), None, "wrong site");
+        assert!(!p.targets_serve_conn(0));
     }
 
     #[test]
@@ -569,29 +477,33 @@ mod tests {
 
     #[test]
     fn injected_chunk_fault_requires_site_and_index_match() {
-        let _guard = tests_lock();
-        arm(FaultPlan::parse("panic@figures:3").unwrap());
-        assert!(injected_chunk_fault(3).is_none(), "no site entered yet");
-        enter_site("figures");
-        assert!(injected_chunk_fault(2).is_none());
-        let msg = injected_chunk_fault(3).unwrap();
+        let p = FaultPlan::parse("panic@figures:3").unwrap();
+        assert!(p.injected_chunk_fault("figures", 2).is_none());
+        let msg = p.injected_chunk_fault("figures", 3).unwrap();
         assert!(msg.contains("injected fault: panic@figures:3"));
-        enter_site("findings");
-        assert!(injected_chunk_fault(3).is_none(), "wrong site");
-        leave_site();
-        disarm();
-        assert!(!armed());
-        assert!(injected_chunk_fault(3).is_none());
+        assert!(p.injected_chunk_fault("findings", 3).is_none());
+        let nan = FaultPlan::parse("nan@figures:3").unwrap();
+        assert!(nan.injected_chunk_fault("figures", 3).is_none());
     }
 
     #[test]
     fn nan_target_matches_site() {
-        let _guard = tests_lock();
-        assert_eq!(nan_target("mc"), None);
-        arm(FaultPlan::parse("nan@mc:1017").unwrap());
-        assert_eq!(nan_target("mc"), Some(1017));
-        assert_eq!(nan_target("other"), None);
-        disarm();
-        assert_eq!(nan_target("mc"), None);
+        let p = FaultPlan::parse("nan@mc:1017").unwrap();
+        assert_eq!(p.nan_target(MC_SITE), Some(1017));
+        assert_eq!(p.nan_target("other"), None);
+        let panic = FaultPlan::parse("panic@mc:1017").unwrap();
+        assert_eq!(panic.nan_target(MC_SITE), None, "wrong kind");
+    }
+
+    #[test]
+    fn parse_for_rejects_sites_that_cannot_fire() {
+        let sites = ["figures", "findings", MC_SITE];
+        let p = FaultPlan::parse_for("panic@figures:3", &sites).unwrap();
+        assert_eq!(p.spec(), "panic@figures:3");
+        let err = FaultPlan::parse_for("panic@figure:3", &sites).unwrap_err();
+        assert!(err.contains("`figure`"), "{err}");
+        assert!(err.contains("figures, findings, mc"), "{err}");
+        let err = FaultPlan::parse_for("panic@figures", &sites).unwrap_err();
+        assert!(err.contains("invalid fault spec"), "grammar first: {err}");
     }
 }

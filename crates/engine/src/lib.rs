@@ -40,11 +40,14 @@
 //!
 //! The [`fault`] module adds a deterministic fault-injection hook
 //! ([`FaultPlan`], spec grammar `<kind>@<site>[:conn<N>][:<index>][:<millis>ms]`)
-//! that raises synthetic faults through this exact machinery; the
-//! reproduction suite's `--inject` flag uses it to prove the isolation
-//! end to end, and `focal-serve --inject` extends the same plans into
-//! the serving layer (request panics, injected latency, short
-//! reads/writes keyed by connection and request index).
+//! that raises synthetic faults through this exact machinery. A plan is
+//! part of the engine value ([`Engine::with_faults`], with the site set
+//! by [`Engine::at_site`]), never process-wide state, so concurrent
+//! engines — parallel tests, server connections — cannot observe each
+//! other's faults. The reproduction suite's `--inject` flag uses it to
+//! prove the isolation end to end, and `focal-serve --inject` extends
+//! the same plans into the serving layer (request panics, injected
+//! latency, short reads/writes keyed by connection and request index).
 //!
 //! ## Thread-count selection
 //!

@@ -12,7 +12,7 @@
 //! tagged with its chunk index and the caller-visible output is assembled
 //! in index order after the scope joins.
 
-use crate::fault::{self, ChunkError};
+use crate::fault::{self, ChunkError, FaultPlan};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -123,13 +123,16 @@ pub fn chunk_count(items: usize, chunk_size: usize) -> usize {
 }
 
 /// A deterministic parallel evaluation engine: a worker count plus the
-/// scheduling policy described in the crate docs.
+/// scheduling policy described in the crate docs, and the fault plan
+/// (if any) its operations inject.
 ///
 /// `Engine` is a cheap `Copy` value — workers are scoped threads spawned
 /// per operation, so there is no persistent pool to manage or shut down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Engine {
     threads: usize,
+    faults: Option<&'static FaultPlan>,
+    site: Option<&'static str>,
 }
 
 impl Engine {
@@ -137,7 +140,7 @@ impl Engine {
     /// code path (no threads are spawned).
     #[must_use]
     pub fn serial() -> Engine {
-        Engine { threads: 1 }
+        Engine::with_threads(1)
     }
 
     /// An engine with an explicit worker count (clamped to at least 1).
@@ -145,7 +148,39 @@ impl Engine {
     pub fn with_threads(threads: usize) -> Engine {
         Engine {
             threads: threads.max(1),
+            faults: None,
+            site: None,
         }
+    }
+
+    /// This engine carrying `faults` (`None` removes any plan). Plans
+    /// are `'static` ([`FaultPlan::leak`]) so the engine stays `Copy`.
+    #[must_use]
+    pub fn with_faults(self, faults: Option<&'static FaultPlan>) -> Engine {
+        Engine { faults, ..self }
+    }
+
+    /// This engine labelled with injection site `site` (the suite uses
+    /// stage names): a chunk-panic plan fires only at its own site.
+    #[must_use]
+    pub fn at_site(self, site: &'static str) -> Engine {
+        Engine {
+            site: Some(site),
+            ..self
+        }
+    }
+
+    /// The fault plan this engine carries, if any.
+    #[must_use]
+    pub fn faults(&self) -> Option<&'static FaultPlan> {
+        self.faults
+    }
+
+    /// The injected fault description if this engine's plan panics
+    /// `chunk` at this engine's site.
+    #[inline]
+    fn injected_chunk_fault(&self, chunk: usize) -> Option<String> {
+        self.faults?.injected_chunk_fault(self.site?, chunk)
     }
 
     /// Reads the worker count from `FOCAL_THREADS`, falling back to
@@ -224,7 +259,7 @@ impl Engine {
     /// # Errors
     ///
     /// Returns the [`ChunkError`] of the lowest failing chunk if any
-    /// chunk panics or an armed [`crate::fault::FaultPlan`] targets one.
+    /// chunk panics or this engine's fault plan targets one.
     pub fn try_par_chunk_map<R, F>(
         &self,
         seed: u64,
@@ -246,7 +281,7 @@ impl Engine {
             if c > first_fail.load(Ordering::Acquire) {
                 return Outcome::Skipped;
             }
-            if let Some(payload) = fault::injected_chunk_fault(c) {
+            if let Some(payload) = self.injected_chunk_fault(c) {
                 first_fail.fetch_min(c, Ordering::AcqRel);
                 return Outcome::Poisoned(ChunkError {
                     chunk_index: c,
@@ -313,8 +348,8 @@ impl Engine {
     ///
     /// Fault semantics match [`Engine::try_par_chunk_map`] at *chunk*
     /// granularity even though scheduling is per unit: before a unit's
-    /// kernel runs, every chunk in the unit is checked against armed
-    /// fault injections in ascending order, so an injected fault reports
+    /// kernel runs, every chunk in the unit is checked against the
+    /// engine's fault plan in ascending order, so an injected fault reports
     /// its exact `chunk_index` / [`chunk_seed`]. A genuine panic in `f`
     /// cannot be attributed more precisely than the unit that raised it
     /// and is deterministically reported against the unit's first chunk
@@ -331,7 +366,7 @@ impl Engine {
     /// # Errors
     ///
     /// Returns the [`ChunkError`] of the lowest failing chunk if `f`
-    /// panics in any unit or an armed fault plan targets a chunk.
+    /// panics in any unit or the engine's fault plan targets a chunk.
     pub fn try_par_chunk_map_into<R, F>(
         &self,
         seed: u64,
@@ -374,7 +409,7 @@ impl Engine {
             let c_end = (c0 + group).min(n_chunks);
             // Ascending per-chunk injection check: exact chunk attribution.
             for c in c0..c_end {
-                if let Some(payload) = fault::injected_chunk_fault(c) {
+                if let Some(payload) = self.injected_chunk_fault(c) {
                     first_fail.fetch_min(c, Ordering::AcqRel);
                     return Outcome::Poisoned(ChunkError {
                         chunk_index: c,
@@ -541,8 +576,8 @@ impl Engine {
         }
     }
 
-    /// Fallible [`Engine::par_map`]: isolates per-chunk panics and armed
-    /// fault injections exactly like [`Engine::try_par_chunk_map`]. The
+    /// Fallible [`Engine::par_map`]: isolates per-chunk panics and
+    /// injected faults exactly like [`Engine::try_par_chunk_map`]. The
     /// chunk an item belongs to is `item_index / ceil(len / 64)`, fixed by
     /// the item count alone, so a reported `chunk_index` identifies the
     /// same slice of items at every thread count.
@@ -550,7 +585,7 @@ impl Engine {
     /// # Errors
     ///
     /// Returns the [`ChunkError`] of the lowest failing chunk if `f`
-    /// panics for any item or an armed fault plan targets a chunk.
+    /// panics for any item or the engine's fault plan targets a chunk.
     pub fn try_par_map<T, R, F>(&self, seed: u64, items: &[T], f: F) -> Result<Vec<R>, ChunkError>
     where
         T: Sync,
@@ -591,8 +626,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// The outer `Result` fails only when an armed
-    /// [`crate::fault::FaultPlan`] targets a chunk of this call (genuine
+    /// The outer `Result` fails only when the engine's
+    /// [`FaultPlan`] targets a chunk of this call (genuine
     /// panics never escape the per-item isolation); the error names the
     /// lowest injected chunk, exactly like [`Engine::try_par_chunk_map`].
     pub fn try_par_map_isolated<T, R, F>(
@@ -679,14 +714,14 @@ impl Engine {
     }
 
     /// Fallible [`Engine::par_reduce`]: isolates per-chunk panics and
-    /// armed fault injections exactly like [`Engine::try_par_chunk_map`].
+    /// injected faults exactly like [`Engine::try_par_chunk_map`].
     /// The merge phase runs on the calling thread only after every chunk
     /// folded successfully.
     ///
     /// # Errors
     ///
     /// Returns the [`ChunkError`] of the lowest failing chunk if `fold`
-    /// panics in any chunk or an armed fault plan targets one.
+    /// panics in any chunk or the engine's fault plan targets one.
     pub fn try_par_reduce<T, A, I, F, M>(
         &self,
         seed: u64,
@@ -1105,18 +1140,21 @@ mod tests {
         }
     }
 
+    /// An engine carrying a leaked `panic@<site>:<chunk>` plan, at `site`.
+    fn faulted(threads: usize, spec: &str, site: &'static str) -> Engine {
+        let plan = FaultPlan::parse(spec).unwrap().leak();
+        Engine::with_threads(threads)
+            .with_faults(Some(plan))
+            .at_site(site)
+    }
+
     #[test]
     fn try_par_chunk_map_into_injected_fault_names_exact_chunk_inside_unit() {
-        let _guard = crate::fault::tests_lock();
-        fault::arm(fault::FaultPlan::parse("panic@into-test:6").unwrap());
-        fault::enter_site("into-test");
         // Chunk 6 sits in the middle of unit {4..8}: the injection check
         // must attribute it to chunk 6, not the unit's first chunk 4.
-        let err = Engine::with_threads(3)
+        let err = faulted(3, "panic@into-test:6", "into-test")
             .try_par_chunk_map_into(7, 12 * 8, 8, 4, 0usize, |c0, s| fill_unit(8, c0, s))
             .unwrap_err();
-        fault::leave_site();
-        fault::disarm();
         assert_eq!(err.chunk_index, 6);
         assert_eq!(err.chunk_seed, chunk_seed(7, 6));
         assert!(err.payload.contains("injected fault: panic@into-test:6"));
@@ -1144,20 +1182,16 @@ mod tests {
 
     #[test]
     fn injected_chunk_faults_surface_as_chunk_errors() {
-        // Serialize with fault.rs's own global-state tests via a fresh
-        // arm/disarm window; the engine tests binary runs tests in
-        // parallel, so take the same care those tests do.
-        let _guard = crate::fault::tests_lock();
-        fault::arm(fault::FaultPlan::parse("panic@unit-test:4").unwrap());
-        fault::enter_site("unit-test");
-        let err = Engine::with_threads(3)
-            .try_par_chunk_map(7, 10, |c| c)
-            .unwrap_err();
-        fault::leave_site();
-        fault::disarm();
+        let engine = faulted(3, "panic@unit-test:4", "unit-test");
+        let err = engine.try_par_chunk_map(7, 10, |c| c).unwrap_err();
         assert_eq!(err.chunk_index, 4);
         assert_eq!(err.chunk_seed, chunk_seed(7, 4));
         assert!(err.payload.contains("injected fault: panic@unit-test:4"));
+        // The plan fires only at its own site and only on the engine
+        // that carries it.
+        for other in [engine.at_site("other"), engine.with_faults(None)] {
+            assert!(other.try_par_chunk_map(7, 10, |c| c).is_ok());
+        }
     }
 
     #[test]

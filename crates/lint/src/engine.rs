@@ -32,6 +32,15 @@ impl CheckConfig {
 /// harness in `crates/lint/tests/ui.rs`).
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "node_modules", "fixtures"];
 
+/// Whether `dir` is the root of a separate cargo workspace (its
+/// `Cargo.toml` declares `[workspace]`), such as `perfbench/`. Its
+/// sources are not members of the linted workspace, so they are not
+/// scanned.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -39,7 +48,10 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name.as_ref())
+                || name.starts_with('.')
+                || is_nested_workspace(&path)
+            {
                 continue;
             }
             collect_rs_files(&path, out)?;
@@ -134,6 +146,28 @@ sources = ["crates/wafer/src/fab.rs"]
 "#,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn nested_workspaces_are_not_scanned() {
+        let root = std::env::temp_dir().join(format!("focal-lint-nested-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+        write("crates/core/Cargo.toml", "[package]\nname = \"core\"\n");
+        write("crates/core/src/lib.rs", "pub fn f() {}\n");
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write("bench/src/main.rs", "fn main() {}\n");
+        let files = load_workspace(&root).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        let paths: Vec<&str> = files.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(paths, ["crates/core/src/lib.rs"]);
     }
 
     /// One seeded violation of each rule, checked end-to-end through the

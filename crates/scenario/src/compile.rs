@@ -9,14 +9,12 @@ use std::path::Path;
 use crate::canonical::{canonicalize, figure_id, CanonicalScenario, StudySpec};
 use crate::digest::digest_entry;
 use crate::error::{Result, ScenarioError};
-use crate::schema::{parse_scenario, ScenarioKind, StudyFamily};
+use crate::schema::{parse_scenario, ScenarioKind};
 use focal_core::ModelError;
 use focal_engine::Engine;
 use focal_studies::die_shrink::DieShrinkStudy;
 use focal_studies::microarch::MicroarchStudy;
-use focal_studies::robustness::{
-    verdict_robustness_on, verdict_robustness_with, VerdictRobustness,
-};
+use focal_studies::robustness::{verdict_robustness_with, VerdictRobustness};
 use focal_studies::wafer_figure::figure1_with;
 use focal_studies::{Figure, Finding};
 use focal_wafer::EmbodiedModel;
@@ -149,30 +147,34 @@ impl CompiledScenario {
     }
 
     /// Evaluates the scenario, running robustness scenarios on the given
-    /// engine with the scenario's own seed and sample count.
+    /// engine with the scenario's own seed and sample count. With a
+    /// `memo`, their Monte-Carlo experiments go through it (so a twin of
+    /// an already-run sweep is answered from the cache); every other kind
+    /// evaluates exactly as [`CompiledScenario::evaluate`].
     ///
     /// # Errors
     ///
     /// Propagates any model error from the underlying study, including
     /// `ChunkPoisoned` from a poisoned Monte-Carlo chunk.
-    pub fn evaluate_on(&self, engine: &Engine) -> focal_core::Result<ScenarioOutput> {
+    pub fn evaluate_on(
+        &self,
+        engine: &Engine,
+        memo: Option<&mut focal_core::SweepMemo>,
+    ) -> focal_core::Result<ScenarioOutput> {
         match &self.canonical.spec {
             StudySpec::Taxonomy {
                 samples,
                 seed,
                 jitter,
             } => {
-                let rows = verdict_robustness_on(engine, *jitter, *samples, *seed)?;
+                let rows = verdict_robustness_with(engine, *jitter, *samples, *seed, memo)?;
                 Ok(ScenarioOutput::Robustness(rows))
             }
             _ => self.evaluate(),
         }
     }
 
-    /// [`CompiledScenario::evaluate_on`] with a [`focal_core::SweepMemo`]:
-    /// robustness scenarios route their Monte-Carlo experiments through the
-    /// memo (so a twin of an already-run sweep is answered from the cache);
-    /// every other kind evaluates exactly as [`CompiledScenario::evaluate`].
+    /// [`CompiledScenario::evaluate_on`] through `memo`.
     ///
     /// # Errors
     ///
@@ -182,18 +184,7 @@ impl CompiledScenario {
         engine: &Engine,
         memo: &mut focal_core::SweepMemo,
     ) -> focal_core::Result<ScenarioOutput> {
-        match &self.canonical.spec {
-            StudySpec::Taxonomy {
-                samples,
-                seed,
-                jitter,
-            } => {
-                let rows =
-                    verdict_robustness_with(engine, *jitter, *samples, *seed, &mut Some(memo))?;
-                Ok(ScenarioOutput::Robustness(rows))
-            }
-            _ => self.evaluate(),
-        }
+        self.evaluate_on(engine, Some(memo))
     }
 
     fn evaluate_figure(&self, spec: &StudySpec) -> focal_core::Result<Figure> {
@@ -404,40 +395,21 @@ pub fn evaluate_all_on(
     engine: &Engine,
     scenarios: &[CompiledScenario],
 ) -> focal_core::Result<Vec<(String, focal_core::Result<ScenarioOutput>)>> {
-    let is_robustness =
-        |s: &CompiledScenario| matches!(s.canonical().spec, StudySpec::Taxonomy { .. });
-    let fan: Vec<&CompiledScenario> = scenarios.iter().filter(|s| !is_robustness(s)).collect();
-    let fan_results = engine
-        .try_par_map(0, &fan, |s| s.evaluate())
-        .map_err(ModelError::from)?;
-    let mut fan_iter = fan_results.into_iter();
-    let mut out = Vec::with_capacity(scenarios.len());
-    for scenario in scenarios {
-        let result = if is_robustness(scenario) {
-            scenario.evaluate_on(engine)
-        } else {
-            fan_iter.next().ok_or(ModelError::Inconsistent {
-                constraint: "parallel fan returned fewer results than scenarios",
-            })?
-        };
-        out.push((scenario.id().to_string(), result));
-    }
-    Ok(out)
+    evaluate_all_with(engine, scenarios, None)
 }
 
-/// [`evaluate_all_on`] with a [`focal_core::SweepMemo`]: robustness
-/// scenarios run through [`CompiledScenario::evaluate_memo_on`] (strictly
-/// sequentially, since the memo is a single mutable table) while the
-/// non-robustness fan is unchanged. Output is element-wise identical to
-/// [`evaluate_all_on`].
+/// [`evaluate_all_on`] with an optional [`focal_core::SweepMemo`]:
+/// robustness scenarios run through it (strictly sequentially, since the
+/// memo is a single mutable table) while the non-robustness fan is
+/// unchanged. Output is element-wise identical either way.
 ///
 /// # Errors
 ///
 /// See [`evaluate_all_on`].
-pub fn evaluate_all_memo_on(
+pub fn evaluate_all_with(
     engine: &Engine,
     scenarios: &[CompiledScenario],
-    memo: &mut focal_core::SweepMemo,
+    mut memo: Option<&mut focal_core::SweepMemo>,
 ) -> focal_core::Result<Vec<(String, focal_core::Result<ScenarioOutput>)>> {
     let is_robustness =
         |s: &CompiledScenario| matches!(s.canonical().spec, StudySpec::Taxonomy { .. });
@@ -449,7 +421,7 @@ pub fn evaluate_all_memo_on(
     let mut out = Vec::with_capacity(scenarios.len());
     for scenario in scenarios {
         let result = if is_robustness(scenario) {
-            scenario.evaluate_memo_on(engine, memo)
+            scenario.evaluate_on(engine, memo.as_deref_mut())
         } else {
             fan_iter.next().ok_or(ModelError::Inconsistent {
                 constraint: "parallel fan returned fewer results than scenarios",
@@ -458,13 +430,6 @@ pub fn evaluate_all_memo_on(
         out.push((scenario.id().to_string(), result));
     }
     Ok(out)
-}
-
-/// True when the scenario is taxonomy robustness (needs the engine
-/// rather than the parallel fan).
-#[must_use]
-pub fn is_robustness_family(scenario: &CompiledScenario) -> bool {
-    scenario.canonical().family == StudyFamily::Taxonomy
 }
 
 #[cfg(test)]
@@ -517,7 +482,7 @@ mod tests {
         ));
         assert!(twin.evaluate().is_err());
         let engine = Engine::serial();
-        let out = twin.evaluate_on(&engine).unwrap();
+        let out = twin.evaluate_on(&engine, None).unwrap();
         match out {
             ScenarioOutput::Robustness(rows) => assert!(!rows.is_empty()),
             other => panic!("expected robustness rows, got {other:?}"),

@@ -32,8 +32,7 @@ pub mod toml;
 
 pub use canonical::{canonicalize, figure_id, finding_indices, CanonicalScenario, StudySpec};
 pub use compile::{
-    evaluate_all_memo_on, evaluate_all_on, is_robustness_family, load_dir, load_file,
-    CompiledScenario, ScenarioOutput,
+    evaluate_all_on, evaluate_all_with, load_dir, load_file, CompiledScenario, ScenarioOutput,
 };
 pub use digest::{digest_entry, fnv64};
 pub use error::{Result, ScenarioError};

@@ -6,7 +6,7 @@
 
 use focal_core::SweepMemo;
 use focal_engine::Engine;
-use focal_scenario::{evaluate_all_memo_on, evaluate_all_on, load_dir};
+use focal_scenario::{evaluate_all_on, evaluate_all_with, load_dir};
 use std::path::Path;
 
 fn shipped_scenarios() -> Vec<focal_scenario::CompiledScenario> {
@@ -30,7 +30,7 @@ fn memo_batch_output_is_byte_identical_across_corpus_and_threads() {
         // The second engine pass reuses the memo warmed by the first, so
         // this also checks that warm hits reproduce the exact bytes.
         let memoized =
-            evaluate_all_memo_on(&engine, &scenarios, &mut memo).expect("memoized batch runs");
+            evaluate_all_with(&engine, &scenarios, Some(&mut memo)).expect("memoized batch runs");
         assert_eq!(memoized.len(), baseline.len());
         for ((id_a, a), (id_b, b)) in baseline.iter().zip(&memoized) {
             assert_eq!(id_a, id_b, "batch order changed under memoization");

@@ -19,18 +19,21 @@
 //!                                            (0 = unbounded)
 //!             [--drain-deadline <ms>]        force-close stragglers this long
 //!                                            after a drain begins (default 5000)
-//!             [--inject <spec>]              arm a deterministic fault plan, e.g.
+//!             [--inject <spec>]              run under a deterministic fault plan, e.g.
 //!                                            panic@serve:3, latency@serve:conn2:50ms,
-//!                                            shortread@serve, shortwrite@serve:conn0
+//!                                            shortread@serve, shortwrite@serve:conn0,
+//!                                            nan@mc:1017 (sites: serve, mc)
 //! ```
 //!
 //! Exit status: 0 on clean shutdown (stdin EOF, `--max-accepts`
 //! reached, or a `{"ctl": "shutdown"}` request drained), 1 on an I/O
-//! failure, 2 on a usage error. Stats go to stderr only; stdout
+//! failure, 2 on a usage error (including an `--inject` site that could
+//! never fire in the server). Stats go to stderr only; stdout
 //! carries nothing but response lines.
 
 use focal_bench::dump::DumpDir;
-use focal_engine::{fault, Engine, FaultPlan};
+use focal_engine::fault::{MC_SITE, SERVE_SITE};
+use focal_engine::{Engine, FaultPlan};
 use focal_serve::{
     serve_stream, serve_tcp, ChaosReader, ChaosWriter, ServeCore, ServeOptions, TcpOptions,
 };
@@ -54,6 +57,7 @@ fn main() {
     let mut max_conns: usize = 0;
     let mut max_accepts: usize = 0;
     let mut opts = ServeOptions::from_env();
+    let mut faults: Option<&'static FaultPlan> = None;
 
     let mut i = 0;
     while let Some(arg) = args.get(i) {
@@ -134,10 +138,13 @@ fn main() {
             }
             "--inject" => {
                 i += 1;
-                match args.get(i).map(|s| FaultPlan::parse(s)) {
+                match args
+                    .get(i)
+                    .map(|s| FaultPlan::parse_for(s, &[SERVE_SITE, MC_SITE]))
+                {
                     Some(Ok(plan)) => {
                         eprintln!("focal-serve: armed fault plan {}", plan.spec());
-                        fault::arm(plan);
+                        faults = Some(plan.leak());
                     }
                     Some(Err(e)) => {
                         eprintln!("focal-serve: bad --inject spec: {e}");
@@ -151,6 +158,8 @@ fn main() {
         }
         i += 1;
     }
+    // Attached after parsing, so a later `--threads` cannot drop it.
+    opts.engine = opts.engine.with_faults(faults);
 
     let result = match tcp_addr {
         Some(addr) => serve_tcp(
@@ -167,9 +176,9 @@ fn main() {
             let stdout = std::io::stdout();
             // Chaos adapters cover the stdin transport too (conn 0);
             // they are transparent unless a shortread/shortwrite plan
-            // is armed.
-            let mut reader = BufReader::new(ChaosReader::new(stdin.lock(), 0));
-            let mut writer = std::io::BufWriter::new(ChaosWriter::new(stdout.lock(), 0));
+            // targets it.
+            let mut reader = BufReader::new(ChaosReader::new(stdin.lock(), 0, faults));
+            let mut writer = std::io::BufWriter::new(ChaosWriter::new(stdout.lock(), 0, faults));
             let mut core = ServeCore::new(opts);
             let r = serve_stream(&mut reader, &mut writer, &mut core);
             eprintln!("{}", core.stats_line());

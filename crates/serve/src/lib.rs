@@ -46,10 +46,11 @@ pub mod service;
 
 pub use cache::{CacheStats, CachedEval, ServeCache};
 pub use chaos::{ChaosReader, ChaosWriter};
+pub use focal_bench::detect_git_rev;
 pub use load::{ConnCtx, Limits, ServerState};
 pub use proto::{
     parse_line, render_err, render_ok, ErrorKind, PingInfo, Provenance, Query, Request,
     RequestError, MAX_BATCH,
 };
 pub use server::{serve_stream, serve_stream_ctx, serve_tcp, TcpOptions};
-pub use service::{detect_git_rev, ServeCore, ServeOptions, ServeStats};
+pub use service::{ServeCore, ServeOptions, ServeStats};

@@ -391,14 +391,16 @@ fn serve_conn(stream: TcpStream, opts: ServeOptions, conn: u64, state: &ServerSt
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "unknown-peer".to_string());
+    let faults = opts.engine.faults();
     let mut core = ServeCore::new(opts);
     let ctx = ConnCtx { conn, state };
     let result = match stream.try_clone() {
         Ok(write_half) => {
             // Chaos adapters are always installed; they forward
-            // untouched unless a shortread/shortwrite fault is armed.
-            let mut reader = BufReader::new(ChaosReader::new(stream, conn));
-            let mut writer = std::io::BufWriter::new(ChaosWriter::new(write_half, conn));
+            // untouched unless a shortread/shortwrite plan targets this
+            // connection.
+            let mut reader = BufReader::new(ChaosReader::new(stream, conn, faults));
+            let mut writer = std::io::BufWriter::new(ChaosWriter::new(write_half, conn, faults));
             serve_stream_ctx(&mut reader, &mut writer, &mut core, &ctx)
         }
         Err(e) => Err(e),

@@ -33,9 +33,11 @@ use crate::proto::{
     parse_line, render_ctl, render_err, render_ok, render_ping, ErrorKind, PingInfo, Provenance,
     Query, Request, RequestError,
 };
+use focal_bench::detect_git_rev;
 use focal_bench::dump::DumpDir;
 use focal_core::SweepMemo;
-use focal_engine::{fault, Engine};
+use focal_engine::fault::payload_to_string;
+use focal_engine::{Engine, FaultPlan};
 use focal_scenario::{CompiledScenario, ScenarioKind};
 use std::time::Instant;
 
@@ -123,10 +125,10 @@ struct QueueEntry {
     digest: u64,
     compiled: CompiledScenario,
     text: String,
-    /// Set when an armed `panic@serve` plan targets the request that
-    /// queued this entry: the evaluation panics instead of running, and
-    /// the engine's isolation machinery must contain it.
-    inject_panic: bool,
+    /// The `panic@serve` plan, when it targets the request that queued
+    /// this entry: the evaluation panics instead of running, and the
+    /// engine's isolation machinery must contain it.
+    inject_panic: Option<&'static FaultPlan>,
 }
 
 impl ServeCore {
@@ -183,6 +185,19 @@ impl ServeCore {
         )
     }
 
+    /// The fault plan aimed at connection `conn`, if the engine carries
+    /// one. Such a plan turns the connection's cache, sweep memo and
+    /// request dedup off: an injected panic must reach the isolation
+    /// machinery rather than a cache hit, and can never alias a clean
+    /// request or poison a cached entry. Other connections keep the
+    /// cache and dedup.
+    fn plan_for(&self, conn: u64) -> Option<&'static FaultPlan> {
+        self.opts
+            .engine
+            .faults()
+            .filter(|plan| plan.targets_serve_conn(conn))
+    }
+
     /// Handles one coalesced batch of input lines with a standalone
     /// server state (stdin-style single connection, no limits beyond
     /// those in the options). Equivalent to [`ServeCore::handle_batch`]
@@ -212,10 +227,8 @@ impl ServeCore {
     /// this batch's responses.
     pub fn handle_batch(&mut self, lines: &[(usize, String)], ctx: &ConnCtx<'_>) -> Vec<String> {
         let batch_entry = Instant::now();
-        // The serve cache and memo stand down while a fault plan is
-        // armed, mirroring the engine's own memoized paths: an injected
-        // panic must reach the isolation machinery, not a cache hit.
-        let caching = self.opts.cache && !fault::armed();
+        let plan = self.plan_for(ctx.conn);
+        let caching = self.opts.cache && plan.is_none();
         // Ping gauges are snapshot before this batch is counted, so a
         // single connection's ping responses are a deterministic
         // function of its own request stream.
@@ -254,7 +267,9 @@ impl ServeCore {
                                 key: None,
                             }))
                         } else {
-                            if let Some(delay) = fault::serve_latency(ctx.conn, ordinal) {
+                            if let Some(delay) =
+                                plan.and_then(|p| p.serve_latency(ctx.conn, ordinal))
+                            {
                                 std::thread::sleep(delay);
                             }
                             self.resolve(req, *line_no, ctx.conn, ordinal, caching, &mut queue)
@@ -371,32 +386,22 @@ impl ServeCore {
                 return Slot::Ready(self.finish_ok(&req.id, line));
             }
         }
-        // Deduplication is skipped while a fault plan is armed so an
-        // injected panic cannot alias a clean request onto the same
-        // evaluation: every slot then owns its own queue entry.
-        let queue_idx = if !fault::armed() {
-            if let Some(idx) = queue.iter().position(|e| e.digest == digest) {
-                idx
-            } else {
-                queue.push(QueueEntry {
-                    digest,
-                    compiled,
-                    text: req.scenario,
-                    inject_panic: false,
-                });
-                queue.len() - 1
-            }
-        } else {
-            let inject_panic =
-                fault::serve_panic_target(conn).is_some_and(|target| target == ordinal);
+        // Deduplication is skipped while a fault plan targets this
+        // connection so an injected panic cannot alias a clean request
+        // onto the same evaluation: every slot then owns its own entry.
+        let plan = self.plan_for(conn);
+        let existing = queue
+            .iter()
+            .position(|e| plan.is_none() && e.digest == digest);
+        let queue_idx = existing.unwrap_or_else(|| {
             queue.push(QueueEntry {
                 digest,
                 compiled,
                 text: req.scenario,
-                inject_panic,
+                inject_panic: plan.filter(|p| p.serve_panic_target(conn) == Some(ordinal)),
             });
             queue.len() - 1
-        };
+        });
         Slot::Pending {
             id: req.id,
             line: line_no,
@@ -441,12 +446,9 @@ impl ServeCore {
                 .opts
                 .engine
                 .try_par_map_isolated(0, &fan, |(_, entry)| {
-                    if entry.inject_panic {
+                    if let Some(plan) = entry.inject_panic {
                         // focal-lint: allow(panic-freedom) -- deliberate injected fault; the engine's per-item isolation must contain it
-                        panic!(
-                            "injected fault: {}",
-                            fault::armed_spec().unwrap_or_default()
-                        );
+                        panic!("injected fault: {plan}");
                     }
                     entry.compiled.evaluate()
                 }) {
@@ -524,7 +526,7 @@ impl ServeCore {
     fn evaluate_robustness(
         &mut self,
         compiled: &CompiledScenario,
-        inject_panic: bool,
+        inject_panic: Option<&FaultPlan>,
         caching: bool,
     ) -> Result<focal_scenario::ScenarioOutput, String> {
         let engine = self.opts.engine;
@@ -534,25 +536,18 @@ impl ServeCore {
         // ever inserted whole, so later lookups still see exactly the
         // values a clean evaluation would produce.
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if inject_panic {
+            if let Some(plan) = inject_panic {
                 // focal-lint: allow(panic-freedom) -- deliberate injected fault; this catch_unwind must contain it
-                panic!(
-                    "injected fault: {}",
-                    fault::armed_spec().unwrap_or_default()
-                );
+                panic!("injected fault: {plan}");
             }
-            if caching {
-                compiled.evaluate_memo_on(&engine, memo)
-            } else {
-                compiled.evaluate_on(&engine)
-            }
+            compiled.evaluate_on(&engine, caching.then_some(memo))
         }));
         match run {
             Ok(Ok(output)) => Ok(output),
             Ok(Err(e)) => Err(format!("evaluation failed: {e}")),
             Err(payload) => Err(format!(
                 "evaluation panicked: {}",
-                panic_message(payload.as_ref())
+                payload_to_string(payload.as_ref())
             )),
         }
     }
@@ -621,34 +616,6 @@ fn render_response(req: &Request, eval: &CachedEval, git_rev: &str) -> String {
         &provenance,
         req.include_output.then_some(eval.output_text.as_str()),
     )
-}
-
-/// Best-effort string form of a panic payload (mirrors the engine's
-/// internal rendering, which is crate-private).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// `git rev-parse --short HEAD` of the current directory, or
-/// `"unknown"` when git or the checkout is unavailable. Stamped into
-/// every response's provenance block.
-#[must_use]
-pub fn detect_git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 #[cfg(test)]

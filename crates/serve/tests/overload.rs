@@ -3,20 +3,13 @@
 //! that every response surviving an injected fault is byte-identical
 //! to the fault-free run.
 
-use focal_engine::{fault, Engine, FaultPlan};
+use focal_engine::{Engine, FaultPlan};
 use focal_serve::{
     serve_stream, serve_tcp, ChaosReader, ChaosWriter, Limits, ServeCore, ServeOptions, TcpOptions,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Serializes every test that arms the process-global fault plan.
-fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn opts_with(limits: Limits) -> ServeOptions {
     ServeOptions {
@@ -26,6 +19,15 @@ fn opts_with(limits: Limits) -> ServeOptions {
         dump_prefix: String::new(),
         git_rev: "testrev".to_string(),
         limits,
+    }
+}
+
+/// [`opts_with`] on an engine carrying the plan parsed from `spec`.
+fn faulted_opts(spec: &str, limits: Limits) -> ServeOptions {
+    let plan = FaultPlan::parse(spec).expect("plan").leak();
+    ServeOptions {
+        engine: Engine::serial().with_faults(Some(plan)),
+        ..opts_with(limits)
     }
 }
 
@@ -278,15 +280,12 @@ fn admission_bound_sheds_excess_requests_in_order() {
 
 #[test]
 fn injected_latency_trips_the_request_deadline() {
-    let _guard = fault_lock();
     let limits = Limits {
         request_deadline: Some(Duration::from_millis(40)),
         ..Limits::default()
     };
-    let mut core = ServeCore::new(opts_with(limits));
-    fault::arm(FaultPlan::parse("latency@serve:80ms").expect("plan"));
+    let mut core = ServeCore::new(faulted_opts("latency@serve:80ms", limits));
     let responses = core.handle_lines(&[(1, scenario_line("slow"))]);
-    fault::disarm();
     assert!(
         responses[0].contains("\"kind\":\"timeout\""),
         "{}",
@@ -294,14 +293,12 @@ fn injected_latency_trips_the_request_deadline() {
     );
     assert!(responses[0].contains("\"id\":\"slow\""));
     // Without the fault the same request clears the same deadline.
-    let ok = core.handle_lines(&[(2, scenario_line("fast"))]);
+    let ok = ServeCore::new(opts_with(limits)).handle_lines(&[(2, scenario_line("fast"))]);
     assert!(ok[0].contains("\"ok\":true"), "{}", ok[0]);
 }
 
 #[test]
 fn short_reads_and_writes_leave_response_bytes_identical() {
-    let _guard = fault_lock();
-    fault::disarm();
     let input = format!(
         "{}\n{}\n{}\n",
         scenario_line("q1"),
@@ -316,18 +313,19 @@ fn short_reads_and_writes_leave_response_bytes_identical() {
         out
     };
     for spec in ["shortread@serve:conn0", "shortwrite@serve"] {
-        fault::arm(FaultPlan::parse(spec).expect("plan"));
+        let opts = faulted_opts(spec, Limits::default());
+        let faults = opts.engine.faults();
         let mut reader = BufReader::new(ChaosReader::new(
             std::io::Cursor::new(input.clone().into_bytes()),
             0,
+            faults,
         ));
         let mut sink: Vec<u8> = Vec::new();
-        let mut core = ServeCore::new(opts_with(Limits::default()));
+        let mut core = ServeCore::new(opts);
         {
-            let mut writer = ChaosWriter::new(&mut sink, 0);
+            let mut writer = ChaosWriter::new(&mut sink, 0, faults);
             serve_stream(&mut reader, &mut writer, &mut core).expect("chaos serve");
         }
-        fault::disarm();
         assert_eq!(
             String::from_utf8_lossy(&sink),
             String::from_utf8_lossy(&baseline),
@@ -338,16 +336,13 @@ fn short_reads_and_writes_leave_response_bytes_identical() {
 
 #[test]
 fn injected_panic_poisons_one_request_and_spares_the_rest() {
-    let _guard = fault_lock();
-    fault::disarm();
     let lines: Vec<(usize, String)> = (1..=5)
         .map(|i| (i, scenario_line(&format!("q{i}"))))
         .collect();
     let baseline = ServeCore::new(opts_with(Limits::default())).handle_lines(&lines);
 
-    fault::arm(FaultPlan::parse("panic@serve:3").expect("plan"));
-    let faulted = ServeCore::new(opts_with(Limits::default())).handle_lines(&lines);
-    fault::disarm();
+    let faulted =
+        ServeCore::new(faulted_opts("panic@serve:3", Limits::default())).handle_lines(&lines);
 
     assert_eq!(faulted.len(), baseline.len());
     for (i, (b, f)) in baseline.iter().zip(&faulted).enumerate() {
@@ -360,33 +355,42 @@ fn injected_panic_poisons_one_request_and_spares_the_rest() {
     }
 
     // The wrong connection is untouched.
-    fault::arm(FaultPlan::parse("panic@serve:conn7:3").expect("plan"));
-    let other_conn = ServeCore::new(opts_with(Limits::default())).handle_lines(&lines);
-    fault::disarm();
+    let other_conn =
+        ServeCore::new(faulted_opts("panic@serve:conn7:3", Limits::default())).handle_lines(&lines);
     assert_eq!(other_conn, baseline);
 }
 
 #[test]
 fn faulted_request_does_not_poison_the_cache() {
-    let _guard = fault_lock();
-    fault::disarm();
-    let mut core = ServeCore::new(opts_with(Limits::default()));
+    // The plan targets this connection, so its core runs without a
+    // cache: a faulted evaluation has nowhere to be stored.
+    let mut core = ServeCore::new(faulted_opts("panic@serve:1", Limits::default()));
 
-    // Cold evaluation populates the cache.
     let cold = core.handle_lines(&[(1, scenario_line("cold"))]);
     assert!(cold[0].contains("\"ok\":true"));
-    assert_eq!(core.cache_entries(), 1);
 
     // Ordinal 1 is the next scenario slot on this core: the injected
     // panic must produce an error response and leave the cache alone.
-    fault::arm(FaultPlan::parse("panic@serve:1").expect("plan"));
     let faulted = core.handle_lines(&[(2, scenario_line("hurt"))]);
-    fault::disarm();
     assert!(faulted[0].contains("injected fault"), "{}", faulted[0]);
-    assert_eq!(core.cache_entries(), 1, "faulted eval must not be cached");
+    assert_eq!(core.cache_entries(), 0, "faulted eval must not be cached");
 
-    // The identical request now recomputes (or hits the clean entry)
-    // and its bytes match the cold response exactly, id aside.
+    // The identical request recomputes and its bytes match the cold
+    // response exactly.
     let warm = core.handle_lines(&[(3, scenario_line("cold"))]);
     assert_eq!(warm[0], cold[0], "cache returned poisoned bytes");
+}
+
+#[test]
+fn a_plan_for_another_connection_keeps_the_cache_on() {
+    let mut core = ServeCore::new(faulted_opts("panic@serve:conn7:0", Limits::default()));
+    let cold = core.handle_lines(&[(1, scenario_line("q"))]);
+    let warm = core.handle_lines(&[(2, scenario_line("q"))]);
+    assert_eq!(warm, cold);
+    assert_eq!(core.cache_entries(), 1);
+    assert!(
+        core.stats_line().contains("cache 1 hits"),
+        "{}",
+        core.stats_line()
+    );
 }

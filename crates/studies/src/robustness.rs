@@ -79,15 +79,14 @@ pub fn verdict_robustness_on(
     samples: usize,
     seed: u64,
 ) -> Result<Vec<VerdictRobustness>> {
-    let mut memo = None;
-    verdict_robustness_with(engine, ratio_jitter, samples, seed, &mut memo)
+    verdict_robustness_with(engine, ratio_jitter, samples, seed, None)
 }
 
-/// [`verdict_robustness_on`] with an optional [`focal_core::SweepMemo`]:
-/// every Monte-Carlo experiment is routed through
-/// [`MonteCarloNcf::run_memo_on`], so a second sweep with the same
+/// [`verdict_robustness_on`] with an optional [`focal_core::SweepMemo`]
+/// that every Monte-Carlo experiment goes through
+/// ([`MonteCarloNcf::run_on`]), so a second sweep with the same
 /// parameters (e.g. the scenario-DSL twin of the suite's robustness stage)
-/// is answered from the cache. `None` falls back to the unmemoized path.
+/// is answered from the cache. `None` runs the unmemoized path.
 ///
 /// # Errors
 ///
@@ -97,7 +96,7 @@ pub fn verdict_robustness_with(
     ratio_jitter: f64,
     samples: usize,
     seed: u64,
-    memo: &mut Option<&mut focal_core::SweepMemo>,
+    mut memo: Option<&mut focal_core::SweepMemo>,
 ) -> Result<Vec<VerdictRobustness>> {
     let rows = taxonomy()?;
     let reference = DesignPoint::reference();
@@ -114,16 +113,9 @@ pub fn verdict_robustness_with(
             (E2oRange::OPERATIONAL_DOMINATED, row.paper_operational),
         ] {
             let mc = MonteCarloNcf::new(range, ratio_jitter, seed)?;
-            let (fw, ft) = match memo.as_deref_mut() {
-                Some(memo) => (
-                    mc.run_memo_on(engine, &x, &y, Scenario::FixedWork, samples, memo)?,
-                    mc.run_memo_on(engine, &x, &y, Scenario::FixedTime, samples, memo)?,
-                ),
-                None => (
-                    mc.run_on(engine, &x, &y, Scenario::FixedWork, samples)?,
-                    mc.run_on(engine, &x, &y, Scenario::FixedTime, samples)?,
-                ),
-            };
+            let mut run =
+                |scenario| mc.run_on(engine, &x, &y, scenario, samples, memo.as_deref_mut());
+            let (fw, ft) = (run(Scenario::FixedWork)?, run(Scenario::FixedTime)?);
             let (expect_fw, expect_ft) = expectations(regime_verdict);
             worst_fw = worst_fw.min(agreement(&fw, expect_fw));
             worst_ft = worst_ft.min(agreement(&ft, expect_ft));

@@ -128,7 +128,9 @@ fn taxonomy_robustness_twin_is_present_and_evaluates() {
         .find(|s| s.id() == "taxonomy-robustness")
         .expect("data/scenarios must ship the taxonomy robustness scenario");
     assert!(tax.registry_id().is_none());
-    let output = tax.evaluate_on(&Engine::serial()).expect("must evaluate");
+    let output = tax
+        .evaluate_on(&Engine::serial(), None)
+        .expect("must evaluate");
     match output {
         ScenarioOutput::Robustness(rows) => assert!(!rows.is_empty()),
         other => panic!("expected robustness rows, got {other:?}"),
