@@ -19,9 +19,10 @@
 //!   separate subdirectories so DSL twins can never clobber the
 //!   hand-coded dumps they mirror.
 //! * `--samples <n>` — Monte-Carlo samples per robustness run (default:
-//!   [`focal_bench::suite::ROBUSTNESS_SAMPLES`]). Any value stays
-//!   bit-identical across thread counts; large values make the suite a
-//!   parallel-speedup benchmark.
+//!   [`focal_bench::suite::ROBUSTNESS_SAMPLES`]), at most
+//!   [`focal_scenario::MAX_MC_SAMPLES`] (2^20); 0 or a larger value exits
+//!   2. Any value stays bit-identical across thread counts; large values
+//!   make the suite a parallel-speedup benchmark.
 //! * `--scenarios <dir>` — evaluate every `*.toml` scenario under
 //!   `<dir>` as an additional `scenarios` stage (see DESIGN.md §13).
 //! * `--scenarios-only` — with `--scenarios`, skip the hand-coded stages
@@ -43,6 +44,7 @@
 use focal_bench::suite::{run_suite_with_options, SuiteOptions, STAGE_NAMES};
 use focal_engine::fault::MC_SITE;
 use focal_engine::{Engine, FaultPlan};
+use focal_scenario::MAX_MC_SAMPLES;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,9 +69,9 @@ fn main() {
             "--samples" if args.get(i + 1).is_some() => {
                 i += 1;
                 options.robustness_samples = match args.get(i).map(|v| v.parse()) {
-                    Some(Ok(n)) if n > 0 => n,
+                    Some(Ok(n)) if (1..=MAX_MC_SAMPLES).contains(&n) => n,
                     _ => {
-                        eprintln!("--samples expects a positive integer");
+                        eprintln!("--samples expects an integer from 1 to {MAX_MC_SAMPLES}");
                         std::process::exit(2);
                     }
                 };

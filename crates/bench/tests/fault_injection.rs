@@ -91,6 +91,26 @@ fn injected_nan_degrades_only_the_robustness_stage() {
 }
 
 #[test]
+fn injected_chunk_panic_degrades_only_the_robustness_stage() {
+    let serial = run_suite(&with_plan(Engine::serial(), "panic@robustness:1"));
+    let parallel = run_suite(&with_plan(Engine::with_threads(4), "panic@robustness:1"));
+
+    assert_degraded(&serial, "robustness");
+    assert_degraded(&parallel, "robustness");
+
+    // The shared draw fails once, on chunk 1 of the seed-42 stream.
+    let robustness = &serial.stages[2];
+    let (_, repro) = robustness
+        .entries
+        .iter()
+        .find(|(k, _)| k == "repro")
+        .unwrap();
+    assert!(repro.contains("chunk_index=1 chunk_seed=43"), "{repro}");
+
+    assert_eq!(serial.to_json(false), parallel.to_json(false));
+}
+
+#[test]
 fn faulted_json_reports_exactly_one_error_status() {
     let report = run_suite(&with_plan(Engine::serial(), "panic@figures:3"));
 

@@ -29,6 +29,12 @@
 //! the lockstep and scalar unit fills), and `focal-core`'s differential
 //! proptests (whole-summary equality across seeds, sample counts and
 //! thread counts).
+//!
+//! The counting path
+//! ([`MonteCarloNcf::prob_reduction_on`](crate::MonteCarloNcf::prob_reduction_on))
+//! uses the same split of a sample into [`McParams::draw`] and
+//! [`McParams::combine`]: [`draw_unit`] fills a logical-order buffer of
+//! raw triples once, and each experiment combines them.
 
 use focal_engine::chunk_seed;
 use rand::distributions::{Distribution, Uniform};
@@ -68,27 +74,45 @@ pub(crate) struct McParams {
 }
 
 impl McParams {
-    /// Draws one fused NCF sample in the canonical order: alpha,
-    /// a-jitter, o-jitter. This *is* the sampling semantics — every
-    /// other path in this module must reproduce its stream and its
+    /// Draws one fused NCF sample: [`McParams::draw`] then
+    /// [`McParams::combine`]. Together they *are* the sampling
+    /// semantics — every other path must reproduce this stream and this
     /// float evaluation order bit-exactly.
     #[inline(always)]
     pub(crate) fn sample(&self, rng: &mut StdRng) -> f64 {
-        let alpha = self.alpha.sample(rng);
-        let a = self.a_ratio * self.jitter.sample(rng);
-        let o = self.o_ratio * self.jitter.sample(rng);
-        alpha * a + (1.0 - alpha) * o
+        self.combine(self.draw(rng))
     }
 
-    /// The identical fuse applied to three pre-drawn raw words (same
-    /// word-to-value transform via [`Uniform::from_u64`], same
-    /// operation order, hence bit-identical results).
+    /// Draws one sample's `[alpha, a-jitter, o-jitter]` triple, in that
+    /// order. It reads only the two distributions, so every experiment
+    /// of one sampler (same α range and jitter) draws the same triples.
+    #[inline(always)]
+    pub(crate) fn draw(&self, rng: &mut StdRng) -> [f64; 3] {
+        let alpha = self.alpha.sample(rng);
+        let ja = self.jitter.sample(rng);
+        let jo = self.jitter.sample(rng);
+        [alpha, ja, jo]
+    }
+
+    /// Fuses a drawn triple into this experiment's NCF sample. The one
+    /// definition of the fuse: [`McParams::sample`], the lockstep
+    /// kernel and the counting path all call it.
+    #[inline(always)]
+    pub(crate) fn combine(&self, d: [f64; 3]) -> f64 {
+        let [alpha, ja, jo] = d;
+        alpha * (self.a_ratio * ja) + (1.0 - alpha) * (self.o_ratio * jo)
+    }
+
+    /// [`McParams::combine`] of three pre-drawn raw words (same
+    /// word-to-value transform via [`Uniform::from_u64`], hence
+    /// bit-identical results).
     #[inline(always)]
     fn fuse(&self, word_alpha: u64, word_a: u64, word_o: u64) -> f64 {
-        let alpha = self.alpha.from_u64(word_alpha);
-        let a = self.a_ratio * self.jitter.from_u64(word_a);
-        let o = self.o_ratio * self.jitter.from_u64(word_o);
-        alpha * a + (1.0 - alpha) * o
+        self.combine([
+            self.alpha.from_u64(word_alpha),
+            self.jitter.from_u64(word_a),
+            self.jitter.from_u64(word_o),
+        ])
     }
 }
 
@@ -205,10 +229,24 @@ pub(crate) fn fill_unit(seed: u64, c0: usize, params: &McParams, out: &mut [f64]
 /// its own serial `StdRng`, samples land in logical order. This is the
 /// exact per-sample loop the pre-SoA implementation ran.
 pub(crate) fn fill_scalar_unit(seed: u64, c0: usize, params: &McParams, out: &mut [f64]) {
+    scalar_unit(seed, c0, out, |rng| params.sample(rng));
+}
+
+/// [`fill_scalar_unit`] for raw [`McParams::draw`] triples: the shared
+/// draw buffer of [`MonteCarloNcf::prob_reduction_on`](crate::MonteCarloNcf::prob_reduction_on),
+/// in logical order.
+pub(crate) fn draw_unit(seed: u64, c0: usize, params: &McParams, out: &mut [[f64; 3]]) {
+    scalar_unit(seed, c0, out, |rng| params.draw(rng));
+}
+
+/// Runs `item` once per slot of `out`, in order, on one serial `StdRng`
+/// per chunk seeded with [`chunk_seed`]`(seed, c0 + k)`.
+#[inline(always)]
+fn scalar_unit<T>(seed: u64, c0: usize, out: &mut [T], item: impl Fn(&mut StdRng) -> T) {
     for (k, chunk_out) in out.chunks_mut(MC_CHUNK_SAMPLES).enumerate() {
         let mut rng = StdRng::seed_from_u64(chunk_seed(seed, c0 + k));
-        for v in chunk_out.iter_mut() {
-            *v = params.sample(&mut rng);
+        for slot in chunk_out.iter_mut() {
+            *slot = item(&mut rng);
         }
     }
 }

@@ -78,7 +78,8 @@ pub struct SweepMemoStats {
     pub classify: MemoStats,
     /// α-crossover cache.
     pub crossover: MemoStats,
-    /// Monte-Carlo summary cache.
+    /// Monte-Carlo cache: full summaries and bare probabilities of
+    /// reduction share this one table.
     pub mc: MemoStats,
 }
 
@@ -173,21 +174,26 @@ impl<const N: usize, V: Clone> MemoTable<N, V> {
     }
 
     fn lookup(&mut self, key: &[u64; N]) -> Option<V> {
-        if self.slots.is_empty() {
+        self.lookup_as(key, |v| Some(v.clone()))
+    }
+
+    /// Looks `key` up and reads the entry through `read`; an entry that
+    /// `read` cannot answer from counts as a miss, like an absent one.
+    fn lookup_as<R>(&mut self, key: &[u64; N], read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
+        let found = if self.slots.is_empty() {
+            None
+        } else {
+            match self.slots.get(self.probe(key)) {
+                Some(Some((_, v))) => read(v),
+                _ => None,
+            }
+        };
+        if found.is_some() {
+            self.hits += 1;
+        } else {
             self.misses += 1;
-            return None;
         }
-        let i = self.probe(key);
-        match self.slots.get(i) {
-            Some(Some((_, v))) => {
-                self.hits += 1;
-                Some(v.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
+        found
     }
 
     /// Writes `(key, value)` at its probe slot without growth checks.
@@ -248,8 +254,19 @@ fn scenario_word(s: Scenario) -> u64 {
     }
 }
 
+/// One Monte-Carlo table entry: the full summary a
+/// [`MonteCarloNcf::run_on`](crate::MonteCarloNcf::run_on) caller
+/// needed, or only the probability of reduction a
+/// [`MonteCarloNcf::prob_reduction_on`](crate::MonteCarloNcf::prob_reduction_on)
+/// caller counted.
+#[derive(Debug, Clone)]
+enum McEntry {
+    Summary(McSummary),
+    Probability(f64),
+}
+
 /// The cross-sweep memo: per-α classifications, α-crossovers, and
-/// Monte-Carlo summaries, each keyed on the canonical bit-patterns of
+/// Monte-Carlo results, each keyed on the canonical bit-patterns of
 /// every input that determines the result (see the module docs).
 ///
 /// # Examples
@@ -273,7 +290,7 @@ fn scenario_word(s: Scenario) -> u64 {
 pub struct SweepMemo {
     classify: MemoTable<10, Sustainability>,
     crossover: MemoTable<9, AlphaCrossover>,
-    mc: MemoTable<14, McSummary>,
+    mc: MemoTable<14, McEntry>,
 }
 
 impl Default for SweepMemo {
@@ -444,12 +461,31 @@ impl SweepMemo {
         ]
     }
 
+    /// The cached summary of an experiment. A bare probability cannot
+    /// answer this, so it counts as a miss, and the caller's insert then
+    /// replaces it with the summary.
     pub(crate) fn mc_lookup(&mut self, key: &[u64; 14]) -> Option<McSummary> {
-        self.mc.lookup(key)
+        self.mc.lookup_as(key, |entry| match entry {
+            McEntry::Summary(summary) => Some(summary.clone()),
+            McEntry::Probability(_) => None,
+        })
     }
 
     pub(crate) fn mc_insert(&mut self, key: [u64; 14], summary: McSummary) {
-        self.mc.insert(key, summary);
+        self.mc.insert(key, McEntry::Summary(summary));
+    }
+
+    /// The cached probability of reduction of an experiment, read from
+    /// either kind of entry.
+    pub(crate) fn mc_prob_lookup(&mut self, key: &[u64; 14]) -> Option<f64> {
+        self.mc.lookup_as(key, |entry| match entry {
+            McEntry::Summary(summary) => Some(summary.prob_reduction),
+            McEntry::Probability(p) => Some(*p),
+        })
+    }
+
+    pub(crate) fn mc_prob_insert(&mut self, key: [u64; 14], prob_reduction: f64) {
+        self.mc.insert(key, McEntry::Probability(prob_reduction));
     }
 }
 

@@ -29,6 +29,32 @@ fn nan_target(engine: &Engine) -> Option<u64> {
     engine.faults()?.nan_target(MC_SITE)
 }
 
+/// The tripwire error for non-finite value `value` at logical sample
+/// index `i` of a run seeded with `seed`: it names the minimal repro
+/// coordinates, the sample, its chunk and that chunk's seed.
+fn non_finite_sample(seed: u64, i: usize, value: f64) -> ModelError {
+    let c = i / MC_CHUNK_SAMPLES;
+    ModelError::NonFiniteOutput {
+        context: format!(
+            "monte-carlo sample {i} (chunk {c}, chunk_seed {})",
+            chunk_seed(seed, c)
+        ),
+        value,
+    }
+}
+
+/// Rejects an empty Monte-Carlo run.
+fn ensure_samples(samples: usize) -> Result<()> {
+    if samples == 0 {
+        return Err(ModelError::OutOfRange {
+            parameter: "samples",
+            value: 0.0,
+            expected: "[1, +inf) (Monte-Carlo needs at least one sample)",
+        });
+    }
+    Ok(())
+}
+
 /// Samples drawn per Monte-Carlo chunk.
 ///
 /// The chunk geometry is part of the *sampling semantics*, not a tuning
@@ -408,6 +434,110 @@ impl MonteCarloNcf {
         Ok(summary)
     }
 
+    /// The probability of reduction ([`McSummary::prob_reduction`]) of
+    /// each `(x, y, scenario)` experiment, drawing the sample stream once
+    /// for the whole batch.
+    ///
+    /// Every experiment of one sampler draws the same `(α, a-jitter,
+    /// o-jitter)` triples, with the chunk seeds and chunk-fault
+    /// attribution of [`MonteCarloNcf::sample_values_on`]; only the
+    /// fuse with the experiment's ratios differs. So the triples are
+    /// drawn once, on first need, and each experiment fuses and counts
+    /// its samples below 1 with no sort and no buffer of its own. Each
+    /// result is bit-identical to `run_on(..).prob_reduction`.
+    ///
+    /// With a `memo`, experiments are looked up and inserted in batch
+    /// order under the same keys as [`MonteCarloNcf::run_on`]; a cached
+    /// summary answers a lookup too. A batch that hits for every
+    /// experiment draws nothing. While `engine` carries a fault plan the
+    /// memo is bypassed.
+    ///
+    /// # Errors
+    ///
+    /// The error `run_on` raises for the first failing experiment in
+    /// batch order: a drawing error ([`ModelError::OutOfRange`] for
+    /// `samples == 0`, [`ModelError::ChunkPoisoned`]) fails the first
+    /// experiment that needs the draw; a non-finite fused value, such
+    /// as one a `nan@mc:<index>` plan poisons in every experiment,
+    /// names the experiment's lowest offending sample index.
+    pub fn prob_reduction_on(
+        &self,
+        engine: &Engine,
+        experiments: &[(DesignPoint, DesignPoint, Scenario)],
+        samples: usize,
+        memo: Option<&mut SweepMemo>,
+    ) -> Result<Vec<f64>> {
+        let mut memo = memo.filter(|_| samples > 0 && engine.faults().is_none());
+        let (range, jitter, seed) = (self.range, self.ratio_uncertainty, self.seed);
+        let mut draws: Option<Vec<[f64; 3]>> = None;
+        let mut probs = Vec::with_capacity(experiments.len());
+        for (x, y, scenario) in experiments {
+            let key = SweepMemo::mc_key(x, y, *scenario, range, jitter, seed, samples);
+            if let Some(p) = memo.as_deref_mut().and_then(|m| m.mc_prob_lookup(&key)) {
+                probs.push(p);
+                continue;
+            }
+            let params = self.params(x, y, *scenario);
+            let draws = match &mut draws {
+                Some(draws) => draws,
+                None => draws.insert(self.draws_on(engine, &params, samples)?),
+            };
+            // Branch-free count; the rare non-finite case rescans below.
+            let mut below = 0usize;
+            let mut finite = true;
+            for &d in draws.iter() {
+                let v = params.combine(d);
+                below += usize::from(v < 1.0);
+                finite &= v.is_finite();
+            }
+            if !finite {
+                let lowest = draws
+                    .iter()
+                    .map(|&d| params.combine(d))
+                    .enumerate()
+                    .find(|(_, v)| !v.is_finite());
+                if let Some((i, v)) = lowest {
+                    return Err(non_finite_sample(seed, i, v));
+                }
+            }
+            let p = below as f64 / samples as f64;
+            if let Some(memo) = memo.as_deref_mut() {
+                memo.mc_prob_insert(key, p);
+            }
+            probs.push(p);
+        }
+        Ok(probs)
+    }
+
+    /// The shared draw buffer of [`MonteCarloNcf::prob_reduction_on`]:
+    /// `samples` triples in logical order, drawn per chunk exactly as
+    /// [`MonteCarloNcf::sample_values_on`] draws them (same seeds, same
+    /// work units, same fault attribution). A `nan@mc:<index>` plan
+    /// poisons the triple at `index`, so every experiment's fused
+    /// sample there is NaN.
+    fn draws_on(
+        &self,
+        engine: &Engine,
+        params: &McParams,
+        samples: usize,
+    ) -> Result<Vec<[f64; 3]>> {
+        ensure_samples(samples)?;
+        let seed = self.seed;
+        let mut draws = engine.try_par_chunk_map_into(
+            seed,
+            samples,
+            MC_CHUNK_SAMPLES,
+            MC_GROUP_CHUNKS,
+            [0.0f64; 3],
+            |c0, out| mc_kernel::draw_unit(seed, c0, params, out),
+        )?;
+        let target = nan_target(engine).and_then(|t| usize::try_from(t).ok());
+        if let Some(d) = target.and_then(|t| draws.get_mut(t)) {
+            *d = [f64::NAN; 3];
+        }
+        Ok(draws)
+    }
+
     /// Pinned scalar reference implementation of [`MonteCarloNcf::run_on`]:
     /// the exact pre-SoA per-sample loop (one serial `StdRng` per chunk,
     /// per-chunk `Vec`s concatenated in index order). Kept as the oracle
@@ -456,13 +586,7 @@ impl MonteCarloNcf {
         scenario: Scenario,
         samples: usize,
     ) -> Result<Vec<f64>> {
-        if samples == 0 {
-            return Err(ModelError::OutOfRange {
-                parameter: "samples",
-                value: 0.0,
-                expected: "[1, +inf) (Monte-Carlo needs at least one sample)",
-            });
-        }
+        ensure_samples(samples)?;
         let params = self.params(x, y, scenario);
         let seed = self.seed;
         // The kernel writes straight into one preallocated buffer — no
@@ -504,14 +628,7 @@ impl MonteCarloNcf {
             }
         }
         if let Some((i, v)) = lowest {
-            let c = i / MC_CHUNK_SAMPLES;
-            return Err(ModelError::NonFiniteOutput {
-                context: format!(
-                    "monte-carlo sample {i} (chunk {c}, chunk_seed {})",
-                    chunk_seed(seed, c)
-                ),
-                value: v,
-            });
+            return Err(non_finite_sample(seed, i, v));
         }
         Ok(values)
     }
@@ -530,13 +647,7 @@ impl MonteCarloNcf {
         scenario: Scenario,
         samples: usize,
     ) -> Result<Vec<f64>> {
-        if samples == 0 {
-            return Err(ModelError::OutOfRange {
-                parameter: "samples",
-                value: 0.0,
-                expected: "[1, +inf) (Monte-Carlo needs at least one sample)",
-            });
-        }
+        ensure_samples(samples)?;
         let params = self.params(x, y, scenario);
         let n_chunks = chunk_count(samples, MC_CHUNK_SAMPLES);
         // A `nan@mc:<sample>` fault plan poisons exactly one global
@@ -559,14 +670,7 @@ impl MonteCarloNcf {
         })?;
         let values: Vec<f64> = chunks.concat();
         if let Some((i, &v)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
-            let c = i / MC_CHUNK_SAMPLES;
-            return Err(ModelError::NonFiniteOutput {
-                context: format!(
-                    "monte-carlo sample {i} (chunk {c}, chunk_seed {})",
-                    chunk_seed(self.seed, c)
-                ),
-                value: v,
-            });
+            return Err(non_finite_sample(self.seed, i, v));
         }
         Ok(values)
     }

@@ -129,3 +129,111 @@ fn a_warm_memo_never_hides_an_injected_fault() {
     assert!(matches!(faulted, Err(ModelError::NonFiniteOutput { .. })));
     assert_eq!(memo.stats().mc.hits, 0);
 }
+
+/// The counting path raises exactly the summary path's errors: under a
+/// `nan@mc` plan (which poisons the same sample of every experiment) and
+/// under an injected chunk panic, at every thread count.
+#[test]
+fn counting_path_raises_the_summary_paths_fault_errors() {
+    let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
+    let y = DesignPoint::reference();
+    let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 40).unwrap();
+    let samples = 2 * MC_CHUNK_SAMPLES + 257;
+    let batch = [
+        (x, y, Scenario::FixedWork),
+        (y, x, Scenario::FixedTime),
+        (x, y, Scenario::FixedTime),
+    ];
+    for spec in [
+        "nan@mc:0",
+        "nan@mc:1017",
+        "nan@mc:5000",
+        "nan@mc:8448",
+        "panic@mc-test:0",
+        "panic@mc-test:2",
+    ] {
+        for threads in [1, 2, 7] {
+            let engine = with_plan(Engine::with_threads(threads), spec).at_site("mc-test");
+            let summary = mc
+                .run_on(&engine, &x, &y, Scenario::FixedWork, samples, None)
+                .unwrap_err();
+            let count = mc
+                .prob_reduction_on(&engine, &batch, samples, None)
+                .unwrap_err();
+            assert_eq!(
+                count.to_string(),
+                summary.to_string(),
+                "{spec} at {threads} threads"
+            );
+        }
+    }
+}
+
+/// A NaN index past the last sample is never drawn, so it changes
+/// nothing; and a warm memo never hides an injected fault.
+#[test]
+fn counting_path_ignores_out_of_range_nan_and_bypasses_the_memo() {
+    let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
+    let y = DesignPoint::reference();
+    let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 7).unwrap();
+    let samples = 2 * MC_CHUNK_SAMPLES + 257;
+    let batch = [(x, y, Scenario::FixedWork), (x, y, Scenario::FixedTime)];
+    let clean = mc
+        .prob_reduction_on(&Engine::serial(), &batch, samples, None)
+        .unwrap();
+    for spec in ["nan@mc:8449", "nan@mc:999999"] {
+        let armed = mc
+            .prob_reduction_on(&with_plan(Engine::serial(), spec), &batch, samples, None)
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&armed), bits(&clean), "{spec}");
+    }
+
+    let mut memo = SweepMemo::new();
+    mc.prob_reduction_on(&Engine::serial(), &batch, samples, Some(&mut memo))
+        .unwrap();
+    let faulted = mc.prob_reduction_on(
+        &with_plan(Engine::serial(), "nan@mc:1017"),
+        &batch,
+        samples,
+        Some(&mut memo),
+    );
+    assert!(matches!(faulted, Err(ModelError::NonFiniteOutput { .. })));
+    assert_eq!(memo.stats().mc.hits, 0);
+}
+
+/// Without a fault plan, the batch error is the first failing
+/// experiment's own `run_on` error: here the middle experiment's
+/// embodied ratio overflows to infinity at its first sample.
+#[test]
+fn counting_path_reports_the_first_failing_experiment_in_batch_order() {
+    let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
+    let y = DesignPoint::reference();
+    let huge = DesignPoint::from_raw(1e300, 1.0, 1.0, 1.0).unwrap();
+    let tiny = DesignPoint::from_raw(1e-300, 1.0, 1.0, 1.0).unwrap();
+    let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 7).unwrap();
+    let samples = MC_CHUNK_SAMPLES + 17;
+    let batch = [
+        (x, y, Scenario::FixedWork),
+        (huge, tiny, Scenario::FixedTime),
+        (tiny, huge, Scenario::FixedWork),
+    ];
+    let expected = mc
+        .run_on(
+            &Engine::serial(),
+            &huge,
+            &tiny,
+            Scenario::FixedTime,
+            samples,
+            None,
+        )
+        .unwrap_err();
+    assert!(matches!(expected, ModelError::NonFiniteOutput { .. }));
+    let mut memo = SweepMemo::new();
+    let err = mc
+        .prob_reduction_on(&Engine::serial(), &batch, samples, Some(&mut memo))
+        .unwrap_err();
+    assert_eq!(err.to_string(), expected.to_string());
+    // The experiment before the failure was counted and cached.
+    assert_eq!(memo.stats().mc.entries, 1);
+}

@@ -36,4 +36,4 @@ pub use compile::{
 };
 pub use digest::{digest_entry, fnv64};
 pub use error::{Result, ScenarioError};
-pub use schema::{parse_scenario, ScenarioDef, ScenarioKind, StudyFamily};
+pub use schema::{parse_scenario, ScenarioDef, ScenarioKind, StudyFamily, MAX_MC_SAMPLES};

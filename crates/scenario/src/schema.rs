@@ -252,6 +252,14 @@ pub struct Assumptions {
     pub act: Option<ActAssumptions>,
 }
 
+/// Largest `[monte_carlo] samples` a scenario may ask for (2^20).
+///
+/// Every sample costs memory (a robustness sweep keeps 24 B per sample
+/// while it counts), so an unbounded value from a file or a request line
+/// could make one evaluation allocate until the process aborts. At this
+/// bound the suite's robustness sweep takes well under a second.
+pub const MAX_MC_SAMPLES: usize = 1 << 20;
+
 /// `[monte_carlo]` — sampling settings for robustness scenarios. All
 /// fields are required when the table is present.
 #[derive(Debug, Clone, PartialEq)]
@@ -745,6 +753,15 @@ fn read_monte_carlo(table: &Table, file: &str) -> Result<MonteCarlo> {
             .at_line(samples.line)
             .for_key("samples"));
     }
+    if samples.value > MAX_MC_SAMPLES {
+        return Err(ScenarioError::new(format!(
+            "`samples` must be at most {MAX_MC_SAMPLES}, got {}",
+            samples.value
+        ))
+        .in_file(file)
+        .at_line(samples.line)
+        .for_key("samples"));
+    }
     let seed = match r.take("seed") {
         None => {
             return Err(
@@ -953,6 +970,22 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(e.key.as_deref(), Some("index"));
+    }
+
+    #[test]
+    fn monte_carlo_samples_are_bounded_on_both_sides() {
+        let doc = |samples: usize| {
+            format!(
+                "[scenario]\nid = \"x\"\nkind = \"robustness\"\nstudy = \"taxonomy\"\n\
+                 [monte_carlo]\nsamples = {samples}\nseed = 1\njitter = 0.1\n"
+            )
+        };
+        assert!(parse_scenario(&doc(MAX_MC_SAMPLES), "t.toml").is_ok());
+        for bad in [0, MAX_MC_SAMPLES + 1] {
+            let e = parse_scenario(&doc(bad), "t.toml").unwrap_err();
+            assert_eq!(e.key.as_deref(), Some("samples"), "{e}");
+            assert_eq!(e.line, Some(6), "{e}");
+        }
     }
 
     #[test]

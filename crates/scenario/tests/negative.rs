@@ -97,3 +97,12 @@ fn duplicate_scenario_ids_name_both_files() {
     assert!(err.message.contains("first.toml"), "{err}");
     assert!(err.message.contains("second.toml"), "{err}");
 }
+
+#[test]
+fn huge_sample_count_names_the_key() {
+    let err = expect_error("huge-samples.toml");
+    assert_eq!(err.key.as_deref(), Some("samples"));
+    assert_eq!(err.line, Some(9));
+    assert!(err.message.contains("at most 1048576"), "{err}");
+    assert!(err.message.contains("100000000000"), "{err}");
+}

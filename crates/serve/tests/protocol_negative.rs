@@ -156,3 +156,35 @@ fn errors_never_leak_into_neighboring_requests() {
         2
     );
 }
+
+#[test]
+fn a_huge_sample_count_is_a_bad_request_not_an_abort() {
+    let good = |id: &str| {
+        format!(
+            "{{\"id\": \"{id}\", \"scenario\": \"[scenario]\\nid = \\\"x\\\"\\nkind = \\\"figure\\\"\\nstudy = \\\"multicore\\\"\\n\"}}"
+        )
+    };
+    let huge = "{\"id\": \"huge\", \"scenario\": \"[scenario]\\nid = \\\"h\\\"\\nkind = \\\"robustness\\\"\\nstudy = \\\"taxonomy\\\"\\n[monte_carlo]\\nsamples = 100000000000\\nseed = 42\\njitter = 0.1\\n\"}";
+    let input = format!("{}\n{huge}\n{}\n", good("before"), good("after"));
+    let responses = serve(&input);
+    assert_eq!(responses.len(), 3, "{responses:#?}");
+    assert!(responses[0].contains("\"ok\":true"), "{}", responses[0]);
+    assert!(responses[2].contains("\"ok\":true"), "{}", responses[2]);
+
+    let (ok, line, message) = dissect(&responses[1]);
+    assert!(!ok);
+    assert_eq!(line, Some(2));
+    let error = JsonValue::parse(&responses[1])
+        .ok()
+        .and_then(|v| v.get("error").cloned())
+        .expect("error object");
+    assert_eq!(
+        error.get("kind").and_then(JsonValue::as_str),
+        Some("bad_request")
+    );
+    assert_eq!(
+        error.get("key").and_then(JsonValue::as_str),
+        Some("samples")
+    );
+    assert!(message.contains("at most 1048576"), "{message}");
+}

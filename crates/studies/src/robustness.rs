@@ -7,9 +7,7 @@
 //! probability that the verdict (footprint reduction or increase) holds.
 
 use crate::taxonomy::{taxonomy, TaxonomyRow};
-use focal_core::{
-    DesignPoint, E2oRange, McSummary, MonteCarloNcf, Result, Scenario, Sustainability,
-};
+use focal_core::{DesignPoint, E2oRange, MonteCarloNcf, Result, Scenario, Sustainability};
 use focal_report::Table;
 
 /// Robustness of one mechanism's verdict under sampling.
@@ -33,11 +31,11 @@ impl VerdictRobustness {
     }
 }
 
-fn agreement(summary: &McSummary, expect_reduction: bool) -> f64 {
+fn agreement(prob_reduction: f64, expect_reduction: bool) -> f64 {
     if expect_reduction {
-        summary.prob_reduction
+        prob_reduction
     } else {
-        1.0 - summary.prob_reduction
+        1.0 - prob_reduction
     }
 }
 
@@ -83,14 +81,23 @@ pub fn verdict_robustness_on(
 }
 
 /// [`verdict_robustness_on`] with an optional [`focal_core::SweepMemo`]
-/// that every Monte-Carlo experiment goes through
-/// ([`MonteCarloNcf::run_on`]), so a second sweep with the same
-/// parameters (e.g. the scenario-DSL twin of the suite's robustness stage)
-/// is answered from the cache. `None` runs the unmemoized path.
+/// that every Monte-Carlo experiment goes through, so a second sweep
+/// with the same parameters (e.g. the scenario-DSL twin of the suite's
+/// robustness stage) is answered from the cache. `None` runs the
+/// unmemoized path.
+///
+/// The experiments of one α regime share the sampler's seed, α range,
+/// jitter and sample count, so each regime is one
+/// [`MonteCarloNcf::prob_reduction_on`] batch that draws its samples
+/// once for all rows and both scenarios.
 ///
 /// # Errors
 ///
-/// See [`verdict_robustness`].
+/// See [`verdict_robustness`]. For the built-in taxonomy only a zero
+/// sample count or an injected fault can fail an experiment, and either
+/// fails every experiment alike, so the error is the first experiment's
+/// (first row, embodied regime, fixed-work): the first in row, regime,
+/// scenario order.
 pub fn verdict_robustness_with(
     engine: &focal_engine::Engine,
     ratio_jitter: f64,
@@ -100,25 +107,38 @@ pub fn verdict_robustness_with(
 ) -> Result<Vec<VerdictRobustness>> {
     let rows = taxonomy()?;
     let reference = DesignPoint::reference();
-    let mut out = Vec::new();
-    for row in rows {
-        let (x, y) = mechanism_points(&row, &reference)?;
+    let points = rows
+        .iter()
+        .map(|row| mechanism_points(row, &reference))
+        .collect::<Result<Vec<_>>>()?;
+    let experiments: Vec<_> = points
+        .iter()
+        .flat_map(|&(x, y)| [(x, y, Scenario::FixedWork), (x, y, Scenario::FixedTime)])
+        .collect();
+    let samplers = [
+        MonteCarloNcf::new(E2oRange::EMBODIED_DOMINATED, ratio_jitter, seed)?,
+        MonteCarloNcf::new(E2oRange::OPERATIONAL_DOMINATED, ratio_jitter, seed)?,
+    ];
+    let mut regimes: [Vec<f64>; 2] = Default::default();
+    for (mc, probs) in samplers.iter().zip(&mut regimes) {
+        *probs = mc.prob_reduction_on(engine, &experiments, samples, memo.as_deref_mut())?;
+    }
+
+    let [embodied, operational] = &regimes;
+    let per_row = embodied.chunks_exact(2).zip(operational.chunks_exact(2));
+    let mut out = Vec::with_capacity(rows.len());
+    for (row, (emb, op)) in rows.iter().zip(per_row) {
         // Each regime is judged against the paper's verdict *for that
         // regime* (acceleration is Less under embodied dominance but
         // Strongly under operational dominance — Finding #6).
         let mut worst_fw: f64 = 1.0;
         let mut worst_ft: f64 = 1.0;
-        for (range, regime_verdict) in [
-            (E2oRange::EMBODIED_DOMINATED, row.paper_embodied),
-            (E2oRange::OPERATIONAL_DOMINATED, row.paper_operational),
-        ] {
-            let mc = MonteCarloNcf::new(range, ratio_jitter, seed)?;
-            let mut run =
-                |scenario| mc.run_on(engine, &x, &y, scenario, samples, memo.as_deref_mut());
-            let (fw, ft) = (run(Scenario::FixedWork)?, run(Scenario::FixedTime)?);
+        for (probs, regime_verdict) in [(emb, row.paper_embodied), (op, row.paper_operational)] {
             let (expect_fw, expect_ft) = expectations(regime_verdict);
-            worst_fw = worst_fw.min(agreement(&fw, expect_fw));
-            worst_ft = worst_ft.min(agreement(&ft, expect_ft));
+            if let &[fw, ft] = probs {
+                worst_fw = worst_fw.min(agreement(fw, expect_fw));
+                worst_ft = worst_ft.min(agreement(ft, expect_ft));
+            }
         }
         out.push(VerdictRobustness {
             mechanism: row.mechanism,
