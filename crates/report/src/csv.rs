@@ -3,6 +3,38 @@
 
 use std::fmt::Write as _;
 
+/// Appends one CSV cell to `out` with RFC 4180 quoting: a cell that
+/// contains `,`, `"`, `\n` or `\r` is wrapped in quotes and its quotes
+/// are doubled; any other cell is copied as is.
+///
+/// This is the one cell writer behind [`CsvWriter`]; renderers that
+/// build CSV straight into their own buffer call it too, so every CSV
+/// the workspace writes quotes alike.
+///
+/// # Examples
+///
+/// ```
+/// let mut out = String::new();
+/// focal_report::push_cell(&mut out, "plain");
+/// out.push(',');
+/// focal_report::push_cell(&mut out, "a \"b\", c");
+/// assert_eq!(out, "plain,\"a \"\"b\"\", c\"");
+/// ```
+pub fn push_cell(out: &mut String, cell: &str) {
+    if !cell.contains([',', '"', '\n', '\r']) {
+        out.push_str(cell);
+        return;
+    }
+    out.push('"');
+    for (i, part) in cell.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
+}
+
 /// Builds CSV text row by row.
 ///
 /// # Examples
@@ -29,18 +61,18 @@ impl CsvWriter {
             columns: headers.len(),
             out: String::new(),
         };
-        let cells: Vec<String> = headers.iter().map(|h| Self::escape(h.as_ref())).collect();
-        w.out.push_str(&cells.join(","));
-        w.out.push('\n');
+        w.push_row(headers.iter().map(AsRef::as_ref));
         w
     }
 
-    fn escape(cell: &str) -> String {
-        if cell.contains([',', '"', '\n', '\r']) {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
+    fn push_row<'a>(&mut self, cells: impl Iterator<Item = &'a str>) {
+        for (i, cell) in cells.enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            push_cell(&mut self.out, cell);
         }
+        self.out.push('\n');
     }
 
     /// Appends a row of string cells.
@@ -50,9 +82,7 @@ impl CsvWriter {
     /// Panics if the row width differs from the header width.
     pub fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(cells.len(), self.columns, "CSV row width mismatch");
-        let escaped: Vec<String> = cells.iter().map(|c| Self::escape(c)).collect();
-        self.out.push_str(&escaped.join(","));
-        self.out.push('\n');
+        self.push_row(cells.iter().map(String::as_str));
         self
     }
 
@@ -120,5 +150,36 @@ mod tests {
     fn headers_are_escaped_too() {
         let w = CsvWriter::new(vec!["a,b", "c"]);
         assert!(w.finish().starts_with("\"a,b\",c\n"));
+    }
+
+    /// The allocating cell escaper `push_cell` replaced, kept as its
+    /// oracle.
+    fn escape_oracle(cell: &str) -> String {
+        if cell.contains([',', '"', '\n', '\r']) {
+            format!("\"{}\"", cell.replace('"', "\"\""))
+        } else {
+            cell.to_string()
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn push_cell_matches_the_allocating_escaper(
+            cells in proptest::collection::vec(
+                proptest::string::string_regex("[a-c ,\"\n\r\t;é✓]{0,16}").unwrap(),
+                1..12,
+            ),
+        ) {
+            for cell in &cells {
+                let mut out = String::from("x,");
+                push_cell(&mut out, cell);
+                proptest::prop_assert_eq!(out, format!("x,{}", escape_oracle(cell)));
+            }
+            let mut w = CsvWriter::new(cells.clone());
+            w.row(&cells);
+            let line: Vec<String> = cells.iter().map(|c| escape_oracle(c)).collect();
+            let line = line.join(",");
+            proptest::prop_assert_eq!(w.finish(), format!("{line}\n{line}\n"));
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! print the regenerated paper figures and findings:
 //!
 //! * [`Table`] — aligned plain-text and Markdown tables.
-//! * [`CsvWriter`] — RFC-4180 CSV for downstream plotting.
+//! * [`CsvWriter`] — RFC-4180 CSV for downstream plotting, and
+//!   [`push_cell`], its cell writer, for renderers with their own buffer.
 //! * [`AsciiChart`] / [`ChartSeries`] — terminal scatter plots of each
 //!   figure's series.
 
@@ -16,5 +17,5 @@ mod csv;
 mod table;
 
 pub use chart::{AsciiChart, ChartSeries};
-pub use csv::CsvWriter;
+pub use csv::{push_cell, CsvWriter};
 pub use table::{Align, Table};

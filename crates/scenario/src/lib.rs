@@ -30,7 +30,10 @@ pub mod error;
 pub mod schema;
 pub mod toml;
 
-pub use canonical::{canonicalize, figure_id, finding_indices, CanonicalScenario, StudySpec};
+pub use canonical::{
+    canonicalize, figure_id, finding_indices, CanonicalScenario, StudySpec, MAX_GRID_STEPS,
+    MAX_LIST_LEN,
+};
 pub use compile::{
     evaluate_all_on, evaluate_all_with, load_dir, load_file, CompiledScenario, ScenarioOutput,
 };

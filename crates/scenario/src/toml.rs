@@ -202,8 +202,14 @@ fn split_array_elements(body: &str, line: u32) -> Result<Vec<&str>> {
     Ok(elements)
 }
 
-/// Parses one value (recursively for arrays).
-fn parse_value(text: &str, line: u32) -> Result<Value> {
+/// Deepest array nesting a value may have, the same bound the wire
+/// protocol's JSON reader uses. No schema key takes more than one level;
+/// the bound keeps a hostile `[[[…]]]` from exhausting the stack.
+pub const MAX_ARRAY_DEPTH: usize = 32;
+
+/// Parses one value (recursively for arrays, at most
+/// [`MAX_ARRAY_DEPTH`] deep).
+fn parse_value(text: &str, line: u32, depth: usize) -> Result<Value> {
     let text = text.trim();
     if let Some(rest) = text.strip_prefix('"') {
         let body = rest
@@ -226,12 +232,18 @@ fn parse_value(text: &str, line: u32) -> Result<Value> {
         return Ok(Value::Str(unescape(body, line)?));
     }
     if let Some(rest) = text.strip_prefix('[') {
+        if depth >= MAX_ARRAY_DEPTH {
+            return Err(ScenarioError::new(format!(
+                "arrays nest deeper than {MAX_ARRAY_DEPTH} levels"
+            ))
+            .at_line(line));
+        }
         let body = rest.strip_suffix(']').ok_or_else(|| {
             ScenarioError::new("unterminated array value (arrays are single-line)").at_line(line)
         })?;
         let mut values = Vec::new();
         for element in split_array_elements(body, line)? {
-            values.push(parse_value(element, line)?);
+            values.push(parse_value(element, line, depth + 1)?);
         }
         return Ok(Value::Array(values));
     }
@@ -306,7 +318,7 @@ pub fn parse(text: &str, file: &str) -> Result<Document> {
             .in_file(file)
             .at_line(line_no));
         }
-        let value = parse_value(value_text, line_no).map_err(|e| {
+        let value = parse_value(value_text, line_no, 0).map_err(|e| {
             let mut e = e.in_file(file);
             e.key = Some(key.to_string());
             e
@@ -386,6 +398,24 @@ mod tests {
                 Value::Array(vec![Value::Float(0.1), Value::Float(0.3)]),
             ])
         );
+    }
+
+    #[test]
+    fn array_nesting_is_bounded() {
+        let nested = |levels: usize| {
+            format!(
+                "[a]\nxs = {}0.2{}\n",
+                "[".repeat(levels),
+                "]".repeat(levels)
+            )
+        };
+        assert!(parse(&nested(MAX_ARRAY_DEPTH), "t.toml").is_ok());
+        for levels in [MAX_ARRAY_DEPTH + 1, 50_000] {
+            let e = parse(&nested(levels), "t.toml").unwrap_err();
+            assert_eq!(e.line, Some(2));
+            assert_eq!(e.key.as_deref(), Some("xs"));
+            assert!(e.to_string().contains("nest deeper than 32"), "{e}");
+        }
     }
 
     #[test]

@@ -106,3 +106,19 @@ fn huge_sample_count_names_the_key() {
     assert!(err.message.contains("at most 1048576"), "{err}");
     assert!(err.message.contains("100000000000"), "{err}");
 }
+
+#[test]
+fn deep_array_nesting_names_the_key() {
+    let err = expect_error("deep-array.toml");
+    assert_eq!(err.key.as_deref(), Some("gamma"));
+    assert_eq!(err.line, Some(10));
+    assert!(err.message.contains("nest deeper than 32"), "{err}");
+}
+
+#[test]
+fn huge_grid_steps_name_the_key() {
+    let err = expect_error("huge-steps.toml");
+    assert_eq!(err.key.as_deref(), Some("die_steps"));
+    assert_eq!(err.line, Some(9));
+    assert!(err.message.contains("at most 256 grid points"), "{err}");
+}

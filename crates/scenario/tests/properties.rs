@@ -3,7 +3,7 @@
 //! form, and digests are insensitive to key ordering and comment
 //! placement in the source file.
 
-use focal_scenario::{CanonicalScenario, CompiledScenario, StudySpec};
+use focal_scenario::{fnv64, load_dir, CanonicalScenario, CompiledScenario, StudySpec};
 use proptest::prelude::*;
 
 /// One `key = value` line of a scenario table.
@@ -194,7 +194,58 @@ fn specimen_strategy() -> impl Strategy<Value = Specimen> {
         })
 }
 
+/// `digest()` streams the canonical text through FNV-64 without
+/// building it; it must equal the digest of the built text.
+fn assert_digest_is_of_the_text(c: &CanonicalScenario) {
+    assert_eq!(
+        c.digest(),
+        fnv64(c.canonical_text().as_bytes()),
+        "{}",
+        c.canonical_text()
+    );
+}
+
+#[test]
+fn shipped_scenarios_digest_their_canonical_text() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data/scenarios");
+    let mut checked = 0;
+    for dir in [root.clone(), root.join("examples")] {
+        for scenario in load_dir(&dir).expect("shipped scenarios compile") {
+            assert_digest_is_of_the_text(scenario.canonical());
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 29,
+        "expected the shipped corpus, found {checked}"
+    );
+}
+
 proptest! {
+    /// The streamed digest equals the digest of the canonical text for
+    /// every generated multicore and caching scenario.
+    #[test]
+    fn streamed_digest_is_the_digest_of_the_canonical_text(
+        specimen in specimen_strategy(),
+        seed in 0u64..=u64::MAX,
+        mib in proptest::collection::vec(1u32..64, 1..5),
+    ) {
+        let multicore = CompiledScenario::compile(&specimen.render(seed), "specimen.toml")
+            .expect("random valid specimen must compile");
+        assert_digest_is_of_the_text(multicore.canonical());
+        let sizes: Vec<f64> = mib.iter().map(|&v| f64::from(v) * 1024.0).collect();
+        let caching = CompiledScenario::compile(
+            &format!(
+                "[scenario]\nid = \"c\"\nkind = \"figure\"\nstudy = \"caching\"\n\
+                 [sweep]\nllc_kib = {}\n",
+                fmt_f64s(&sizes)
+            ),
+            "kib.toml",
+        )
+        .expect("KiB sweep must compile");
+        assert_digest_is_of_the_text(caching.canonical());
+    }
+
     /// parse → canonicalize → serialize → reparse is a fixed point: the
     /// reparsed scenario has the same canonical form and digest.
     #[test]

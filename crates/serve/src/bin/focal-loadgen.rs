@@ -12,7 +12,8 @@
 //!               [--out <path>]       write BENCH.json here (default stdout)
 //!               [--check-speedup <x>]    fail unless warm ≥ x· cold throughput
 //!               [--min-throughput <t>]   fail unless warm ≥ t evals/sec
-//! focal-loadgen --emit <passes> [--corpus <dir>]   print request NDJSON, no server
+//! focal-loadgen --emit <passes> [--corpus <dir>] [--include-output]
+//!                                    print request NDJSON, no server
 //! ```
 //!
 //! The run is two-phase: pass 0 sends every corpus scenario once (all
@@ -20,6 +21,9 @@
 //! replay the identical payloads (text-level cache hits). Request ids
 //! are `p<pass>-r<seq>`, so `--emit` output is reproducible and serve
 //! responses to it can be byte-diffed across server configurations.
+//! `--emit --include-output` asks for the rendered output in every
+//! response, so such a diff covers the output field too; the TCP
+//! workload always measures responses without it.
 //!
 //! With `--connections N > 1` the same two-phase workload runs on N
 //! concurrent connections (one scoped thread per client); each gets
@@ -40,9 +44,10 @@ use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: focal-loadgen (--addr <host:port> | --addr-file <path> | --emit <passes>) \
+        "usage: focal-loadgen (--addr <host:port> | --addr-file <path>) \
          [--corpus <dir>] [--repeat <k>] [--window <n>] [--rate <r>] [--connections <n>] \
-         [--smoke] [--out <path>] [--check-speedup <x>] [--min-throughput <t>]"
+         [--smoke] [--out <path>] [--check-speedup <x>] [--min-throughput <t>]\n       \
+         focal-loadgen --emit <passes> [--corpus <dir>] [--include-output]"
     );
     std::process::exit(2);
 }
@@ -78,9 +83,16 @@ fn load_corpus(dir: &str) -> Vec<String> {
 }
 
 /// Renders the request line for corpus item `seq` of pass `pass`.
-fn request_line(pass: usize, seq: usize, scenario: &str) -> String {
+/// One request line; with `include_output` the response embeds the
+/// rendered output text, so a byte-diff of the responses covers it.
+fn request_line(pass: usize, seq: usize, scenario: &str, include_output: bool) -> String {
+    let output = if include_output {
+        ",\"include_output\":true"
+    } else {
+        ""
+    };
     format!(
-        "{{\"id\":\"p{pass}-r{seq}\",\"scenario\":\"{}\"}}",
+        "{{\"id\":\"p{pass}-r{seq}\",\"scenario\":\"{}\"{output}}}",
         focal_serve::json::escape(scenario)
     )
 }
@@ -216,7 +228,7 @@ fn run_connection(
     let cold_lines: Vec<String> = corpus
         .iter()
         .enumerate()
-        .map(|(seq, s)| request_line(0, seq, s))
+        .map(|(seq, s)| request_line(0, seq, s, false))
         .collect();
     let (cold_elapsed, _) = run_pass(&mut reader, &mut writer, &cold_lines, window, rate);
 
@@ -232,7 +244,7 @@ fn run_connection(
         let pass_lines: Vec<String> = corpus
             .iter()
             .enumerate()
-            .map(|(seq, s)| request_line(pass, seq, s))
+            .map(|(seq, s)| request_line(pass, seq, s, false))
             .collect();
         let (elapsed, pass_latencies) =
             run_pass(&mut reader, &mut writer, &pass_lines, window, rate);
@@ -266,6 +278,7 @@ fn main() {
     let mut check_speedup: Option<f64> = None;
     let mut min_throughput: Option<f64> = None;
     let mut emit: Option<usize> = None;
+    let mut include_output = false;
 
     let mut i = 0;
     while let Some(arg) = args.get(i) {
@@ -310,6 +323,7 @@ fn main() {
                 Ok(n) => emit = Some(n),
                 Err(_) => usage(),
             },
+            "--include-output" => include_output = true,
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -325,7 +339,7 @@ fn main() {
         let mut w = std::io::BufWriter::new(stdout.lock());
         for pass in 0..passes {
             for (seq, scenario) in corpus.iter().enumerate() {
-                let line = request_line(pass, seq, scenario);
+                let line = request_line(pass, seq, scenario, include_output);
                 if writeln!(w, "{line}").is_err() {
                     fail("stdout write failed");
                 }

@@ -104,9 +104,10 @@ impl ServeCache {
         }
     }
 
-    /// Records a finished evaluation under both levels.
-    pub fn insert(&mut self, text: &str, eval: CachedEval) {
-        self.by_text.insert(text.to_string(), eval.scenario_digest);
+    /// Records a finished evaluation under both levels. The source text
+    /// is taken by value when the caller can give it up.
+    pub fn insert(&mut self, text: impl Into<String>, eval: CachedEval) {
+        self.by_text.insert(text.into(), eval.scenario_digest);
         self.by_digest.insert(eval.scenario_digest, eval);
     }
 

@@ -11,9 +11,9 @@
 //!   the byte offset of the first malformed construct. It never panics
 //!   on any input: the negative-protocol corpus in
 //!   `tests/protocol_negative.rs` pins this.
-//! * [`escape`] — the string-escaping half of rendering. Responses are
-//!   assembled by `format!` from escaped fragments (the same approach
-//!   the suite's JSON report uses), so rendering is deterministic by
+//! * [`escape_into`] / [`escape`] — the string-escaping half of
+//!   rendering. Responses are assembled in one buffer from fixed
+//!   fragments and escaped values, so rendering is deterministic by
 //!   construction: objects are emitted in a fixed key order, never
 //!   iterated from a map.
 //!
@@ -72,6 +72,7 @@ impl JsonValue {
     /// malformed construct.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -136,22 +137,49 @@ impl JsonValue {
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends `s` to `out`, escaped for a JSON string literal (quotes not
+/// included): `\"`, `\\`, `\n`, `\r` and `\t` for those bytes, `\u00xx`
+/// (lowercase hex) for every other byte below 0x20, and everything else
+/// — 0x7f and non-ASCII included — unchanged.
+///
+/// Runs that need no escaping are copied whole. Every escaped byte is
+/// ASCII, so each run starts and ends on a UTF-8 boundary.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut run_start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(s.get(run_start..i).unwrap_or_default());
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(hex_digit(b >> 4));
+                out.push(hex_digit(b & 0xf));
+            }
+        }
+        run_start = i + 1;
+    }
+    out.push_str(s.get(run_start..).unwrap_or_default());
+}
+
+/// The lowercase hex digit for a nibble.
+fn hex_digit(nibble: u8) -> char {
+    char::from_digit(u32::from(nibble), 16).unwrap_or('0')
 }
 
 /// Byte-cursor recursive-descent parser.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -207,6 +235,19 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte whole. It ends on an ASCII byte (or the end of the
+            // input) and starts after one, so it is a `&str` slice.
+            let start = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            if let Some(run) = self.text.get(start..self.pos) {
+                out.push_str(run);
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -233,25 +274,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Advance over one UTF-8 scalar (input is &str, so
-                    // boundaries are valid; continuation bytes are >= 0x80).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .peek()
-                        .is_some_and(|b| (0x80..0xC0).contains(&(b as u32)))
-                    {
-                        self.pos += 1;
-                    }
-                    if let Some(chunk) = self.bytes.get(start..self.pos) {
-                        out.push_str(std::str::from_utf8(chunk).map_err(|_| JsonError {
-                            offset: start,
-                            message: "invalid UTF-8 in string".to_string(),
-                        })?);
-                    }
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -463,5 +486,160 @@ mod tests {
         let v = JsonValue::parse(r#"{"k": 1, "k": 2}"#).unwrap();
         assert_eq!(v.as_object().unwrap().len(), 2);
         assert!(matches!(v.get("k"), Some(JsonValue::Num(_))));
+    }
+
+    /// The char-by-char escaper `escape_into` replaced, kept as its
+    /// oracle.
+    fn escape_oracle(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// The scalar-at-a-time string parser the run-copying
+    /// `Parser::string` replaced, kept as its oracle. The cursor is on
+    /// the opening quote.
+    fn string_oracle(p: &mut Parser<'_>) -> Result<String, JsonError> {
+        p.pos += 1;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.err("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000c}'),
+                        Some(b'u') => {
+                            p.pos += 1;
+                            out.push(p.unicode_escape()?);
+                            continue;
+                        }
+                        _ => return Err(p.err("invalid escape sequence")),
+                    }
+                    p.pos += 1;
+                }
+                Some(c) if c < 0x20 => return Err(p.err("raw control character in string")),
+                Some(_) => {
+                    let start = p.pos;
+                    p.pos += 1;
+                    while p.peek().is_some_and(|b| (0x80..0xC0).contains(&(b as u32))) {
+                        p.pos += 1;
+                    }
+                    let chunk = p.bytes.get(start..p.pos).unwrap();
+                    out.push_str(std::str::from_utf8(chunk).unwrap());
+                }
+            }
+        }
+    }
+
+    /// Parses the string literal at the start of `text` with both
+    /// parsers; they must agree on the value or error and on where
+    /// they stopped.
+    fn assert_parsers_agree(text: &str) {
+        let parser = || Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let (mut fast, mut oracle) = (parser(), parser());
+        let got = fast.string();
+        let want = string_oracle(&mut oracle);
+        assert_eq!(got, want, "input {text:?}");
+        assert_eq!(fast.pos, oracle.pos, "input {text:?}");
+    }
+
+    /// Every byte below 0x80 (controls, quote, backslash, 0x7f) and a
+    /// few multi-byte scalars, alone and between other text.
+    fn edge_chars() -> Vec<char> {
+        (0u8..0x80)
+            .map(char::from)
+            .chain(['é', 'α', '✓', '—', '😀', '\u{80}', '\u{7ff}', '\u{ffff}'])
+            .collect()
+    }
+
+    #[test]
+    fn escape_matches_the_oracle_on_every_edge_character() {
+        for c in edge_chars() {
+            for s in [c.to_string(), format!("a{c}b"), format!("{c}{c}x{c}")] {
+                assert_eq!(escape(&s), escape_oracle(&s), "{s:?}");
+                let mut out = String::from("prefix");
+                escape_into(&mut out, &s);
+                assert_eq!(out, format!("prefix{}", escape_oracle(&s)));
+            }
+        }
+    }
+
+    #[test]
+    fn parser_matches_the_oracle_on_every_edge_character() {
+        for c in edge_chars() {
+            for body in [
+                c.to_string(),
+                format!("a{c}b"),
+                format!("\\{c}"),
+                format!("\\u00{c}"),
+            ] {
+                assert_parsers_agree(&format!("\"{body}\""));
+                assert_parsers_agree(&format!("\"{body}"));
+            }
+        }
+    }
+
+    /// Mostly plain text with quotes, backslashes, every control byte,
+    /// 0x7f and multi-byte scalars mixed in.
+    const EDGE_CLASS: &str = "[\u{0}-\u{1f}\"\\/\u{7f}a-fnrtu0-9 ,éα✓😀]{0,40}";
+
+    proptest::proptest! {
+        #[test]
+        fn escape_into_matches_the_char_by_char_escaper(
+            strings in proptest::collection::vec(
+                proptest::string::string_regex(EDGE_CLASS).unwrap(),
+                1..16,
+            ),
+        ) {
+            for s in &strings {
+                proptest::prop_assert_eq!(escape(s), escape_oracle(s));
+                proptest::prop_assert_eq!(
+                    JsonValue::parse(&format!("\"{}\"", escape(s))),
+                    Ok(JsonValue::Str(s.clone()))
+                );
+            }
+        }
+
+        #[test]
+        fn run_copying_parser_matches_the_oracle_on_raw_input(
+            bodies in proptest::collection::vec(
+                proptest::string::string_regex(EDGE_CLASS).unwrap(),
+                1..16,
+            ),
+        ) {
+            // Raw bodies hold unescaped controls, stray backslashes,
+            // partial `\u` escapes and early quotes: the error paths.
+            for body in &bodies {
+                assert_parsers_agree(&format!("\"{body}\""));
+                assert_parsers_agree(&format!("\"{body}"));
+                assert_parsers_agree(&format!("\"{}\"", escape_oracle(body)));
+            }
+        }
     }
 }

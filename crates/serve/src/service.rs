@@ -361,7 +361,7 @@ impl ServeCore {
     ) -> Slot {
         if caching {
             if let Some(hit) = self.cache.lookup_text(&req.scenario) {
-                let line = render_response(&req, hit, &self.opts.git_rev);
+                let line = render_response(&req.id, req.include_output, hit, &self.opts.git_rev);
                 return Slot::Ready(self.finish_ok(&req.id, line));
             }
         }
@@ -382,7 +382,7 @@ impl ServeCore {
         let digest = compiled.canonical().digest();
         if caching {
             if let Some(hit) = self.cache.lookup_digest(&req.scenario, digest) {
-                let line = render_response(&req, hit, &self.opts.git_rev);
+                let line = render_response(&req.id, req.include_output, hit, &self.opts.git_rev);
                 return Slot::Ready(self.finish_ok(&req.id, line));
             }
         }
@@ -410,8 +410,9 @@ impl ServeCore {
         }
     }
 
-    /// Evaluates the miss queue and rewrites every `Pending` slot into
-    /// a `Ready` response.
+    /// Evaluates the miss queue, rewrites every `Pending` slot into a
+    /// `Ready` response, and then moves each fresh evaluation into the
+    /// cache (in queue order), so no entry is copied.
     fn evaluate_queue(&mut self, queue: Vec<QueueEntry>, caching: bool, slots: &mut [Slot]) {
         if queue.is_empty() {
             return;
@@ -427,14 +428,8 @@ impl ServeCore {
             if entry.compiled.canonical().kind == ScenarioKind::Robustness {
                 let outcome =
                     self.evaluate_robustness(&entry.compiled, entry.inject_panic, caching);
-                let result = finish_eval(&entry.compiled, outcome);
-                if caching {
-                    if let Ok(eval) = &result {
-                        self.cache.insert(&entry.text, eval.clone());
-                    }
-                }
                 if let Some(slot) = results.get_mut(idx) {
-                    *slot = Some(result);
+                    *slot = Some(finish_eval(entry, outcome));
                 }
             } else {
                 fan.push((idx, entry));
@@ -458,14 +453,8 @@ impl ServeCore {
                             Ok(inner) => inner.map_err(|e| format!("evaluation failed: {e}")),
                             Err(ce) => Err(format!("evaluation panicked: {}", ce.payload)),
                         };
-                        let result = finish_eval(&entry.compiled, outcome);
-                        if caching {
-                            if let Ok(eval) = &result {
-                                self.cache.insert(&entry.text, eval.clone());
-                            }
-                        }
                         if let Some(slot) = results.get_mut(*idx) {
-                            *slot = Some(result);
+                            *slot = Some(finish_eval(entry, outcome));
                         }
                     }
                 }
@@ -494,12 +483,7 @@ impl ServeCore {
             };
             let rendered = match results.get(*queue_idx).and_then(Option::as_ref) {
                 Some(Ok(eval)) => {
-                    let req = Request {
-                        id: id.clone(),
-                        scenario: String::new(),
-                        include_output: *include_output,
-                    };
-                    let line = render_response(&req, eval, &self.opts.git_rev);
+                    let line = render_response(id, *include_output, eval, &self.opts.git_rev);
                     self.finish_ok(id, line)
                 }
                 Some(Err(message)) => self.rendered_err(&RequestError {
@@ -518,6 +502,14 @@ impl ServeCore {
                 }),
             };
             *slot = Slot::Ready(rendered);
+        }
+
+        if caching {
+            for (entry, result) in queue.into_iter().zip(results) {
+                if let Some(Ok(eval)) = result {
+                    self.cache.insert(entry.text, eval);
+                }
+            }
         }
     }
 
@@ -582,39 +574,46 @@ impl ServeCore {
 }
 
 /// Builds the cache entry (or error string) from one finished
-/// evaluation.
+/// evaluation. The scenario digest is the one computed when the entry
+/// was queued, and the rendered bytes move into the entry uncopied,
+/// trimmed to their length because the cache never evicts.
 fn finish_eval(
-    compiled: &CompiledScenario,
+    entry: &QueueEntry,
     outcome: Result<focal_scenario::ScenarioOutput, String>,
 ) -> Result<CachedEval, String> {
     let output = outcome?;
     let bytes = output.to_bytes();
+    let digest_entry = focal_scenario::digest_entry(&bytes);
+    let mut output_text = String::from_utf8(bytes)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    output_text.shrink_to_fit();
+    let compiled = &entry.compiled;
     Ok(CachedEval {
         scenario_id: compiled.id().to_string(),
         kind: compiled.canonical().kind.as_str().to_string(),
-        digest_entry: focal_scenario::digest_entry(&bytes),
-        output_text: String::from_utf8_lossy(&bytes).into_owned(),
-        scenario_digest: compiled.canonical().digest(),
+        digest_entry,
+        output_text,
+        scenario_digest: entry.digest,
         seed: compiled.mc_seed().unwrap_or(0),
     })
 }
 
-/// Renders the response line for `req` from a (cached or fresh)
+/// Renders the response line for request `id` from a (cached or fresh)
 /// evaluation. Pure: the same evaluation always renders the same
 /// bytes, which is the cache-hit byte-identity guarantee.
-fn render_response(req: &Request, eval: &CachedEval, git_rev: &str) -> String {
+fn render_response(id: &str, include_output: bool, eval: &CachedEval, git_rev: &str) -> String {
     let provenance = Provenance {
         scenario_digest: eval.scenario_digest,
         seed: eval.seed,
         git_rev: git_rev.to_string(),
     };
     render_ok(
-        &req.id,
+        id,
         &eval.scenario_id,
         &eval.kind,
         &eval.digest_entry,
         &provenance,
-        req.include_output.then_some(eval.output_text.as_str()),
+        include_output.then_some(eval.output_text.as_str()),
     )
 }
 

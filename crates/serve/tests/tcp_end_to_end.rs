@@ -1,6 +1,8 @@
 //! End-to-end TCP: a real listener, a real client socket, malformed
 //! input mid-stream — the connection must survive and keep answering,
 //! and `--dump-dir` transcripts must land under the `serve/` namespace.
+//! A hostile request costs its own connection a structured error, never
+//! the server.
 
 use focal_engine::Engine;
 use focal_serve::{serve_tcp, ServeOptions, TcpOptions};
@@ -106,4 +108,83 @@ fn malformed_line_does_not_drop_the_connection() {
     assert_eq!(transcript, first);
 
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// Sends one line on a fresh connection and returns the response line.
+fn ask_once(addr: &str, line: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    stream.write_all(line.as_bytes()).expect("send");
+    stream.flush().expect("flush");
+    let mut response = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut response)
+        .expect("recv");
+    assert!(!response.is_empty(), "server dropped the connection");
+    response
+}
+
+/// A scenario whose array nests 15,000 levels deep used to overflow the
+/// connection thread's stack and abort the whole process, so the next
+/// connection was refused.
+#[test]
+fn a_deep_array_request_leaves_the_server_answering_other_connections() {
+    let port_file =
+        std::env::temp_dir().join(format!("focal-serve-e2e-deep-{}-port", std::process::id()));
+    let _ = std::fs::remove_file(&port_file);
+    let tcp = TcpOptions {
+        addr: "127.0.0.1:0".to_string(),
+        port_file: Some(port_file.clone()),
+        max_conns: 0,
+        max_accepts: 2,
+    };
+    let opts = ServeOptions {
+        engine: Engine::serial(),
+        cache: true,
+        dump_dir: None,
+        dump_prefix: String::new(),
+        git_rev: "e2e".to_string(),
+        limits: focal_serve::Limits::default(),
+    };
+    let server = std::thread::spawn(move || serve_tcp(&tcp, &opts));
+    let mut addr = String::new();
+    for _ in 0..300 {
+        if let Ok(s) = std::fs::read_to_string(&port_file) {
+            if s.trim().parse::<std::net::SocketAddr>().is_ok() {
+                addr = s.trim().to_string();
+                break;
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let _ = std::fs::remove_file(&port_file);
+    assert!(!addr.is_empty(), "server never wrote its port file");
+
+    let depth = 15_000;
+    let deep = format!(
+        "[scenario]\nid = \"deep\"\nkind = \"figure\"\nstudy = \"multicore\"\n\
+         [params]\ngamma = {}0.2{}\n",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let hostile = ask_once(
+        &addr,
+        &format!(
+            "{{\"id\": \"deep\", \"scenario\": \"{}\"}}\n",
+            focal_serve::json::escape(&deep)
+        ),
+    );
+    assert!(hostile.contains("\"kind\":\"bad_request\""), "{hostile}");
+    assert!(hostile.contains("\"key\":\"gamma\""), "{hostile}");
+
+    let answered = ask_once(&addr, &scenario_line("after"));
+    assert!(answered.contains("\"id\":\"after\""), "{answered}");
+    assert!(answered.contains("\"ok\":true"), "{answered}");
+
+    server
+        .join()
+        .expect("server thread")
+        .expect("server drains after its two accepts");
 }
