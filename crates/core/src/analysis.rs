@@ -142,14 +142,15 @@ pub fn pareto_frontier<'a>(
     scenario: Scenario,
     alpha: E2oWeight,
 ) -> Vec<&'a Candidate> {
-    // Scoring each candidate is independent; par_map preserves candidate
-    // order, so the frontier (and its order) is thread-count invariant.
-    let scored: Vec<(f64, f64)> = focal_engine::Engine::from_env().par_map(candidates, |c| {
-        (
-            c.design.performance() / baseline.performance(),
-            Ncf::evaluate(&c.design, baseline, scenario, alpha).value(),
-        )
-    });
+    let scored: Vec<(f64, f64)> = candidates
+        .iter()
+        .map(|c| {
+            (
+                c.design.performance() / baseline.performance(),
+                Ncf::evaluate(&c.design, baseline, scenario, alpha).value(),
+            )
+        })
+        .collect();
     candidates
         .iter()
         .enumerate()
@@ -171,9 +172,10 @@ pub fn classify_all<'a>(
     baseline: &DesignPoint,
     alpha: E2oWeight,
 ) -> Vec<(&'a Candidate, Classification)> {
-    let classes = focal_engine::Engine::from_env()
-        .par_map(candidates, |c| classify(&c.design, baseline, alpha));
-    candidates.iter().zip(classes).collect()
+    candidates
+        .iter()
+        .map(|c| (c, classify(&c.design, baseline, alpha)))
+        .collect()
 }
 
 #[cfg(test)]

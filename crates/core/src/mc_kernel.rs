@@ -34,7 +34,11 @@
 //! ([`MonteCarloNcf::prob_reduction_on`](crate::MonteCarloNcf::prob_reduction_on))
 //! uses the same split of a sample into [`McParams::draw`] and
 //! [`McParams::combine`]: [`draw_unit`] fills a logical-order buffer of
-//! raw triples once, and each experiment combines them.
+//! raw triples once, and [`count_below_one`] combines and counts them
+//! per experiment in a loop compiled under the same ISA wrappers, where
+//! LLVM vectorizes the stride-3 loads with shuffles. Rust never
+//! contracts `a * b + c` into a fused multiply-add, so every vector lane
+//! computes the scalar `combine`'s exact f64 and the count is exact.
 
 use focal_engine::chunk_seed;
 use rand::distributions::{Distribution, Uniform};
@@ -139,11 +143,7 @@ pub(crate) fn lockstep_enabled() -> bool {
 pub fn mc_kernel_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
+        if avx512_detected() {
             return "avx512";
         }
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -151,6 +151,17 @@ pub fn mc_kernel_isa() -> &'static str {
         }
     }
     "scalar"
+}
+
+/// Whether this machine has every feature the AVX-512 instantiations
+/// are compiled with.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512_detected() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// Number of *lockstep-eligible* units: units whose output slice spans
@@ -207,11 +218,7 @@ pub(crate) fn fill_unit(seed: u64, c0: usize, params: &McParams, out: &mut [f64]
         for (l, s) in seeds.iter_mut().enumerate() {
             *s = chunk_seed(seed, c0 + l);
         }
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
+        if avx512_detected() {
             // SAFETY: the required features were just verified at runtime.
             unsafe { fill_lockstep_avx512(&seeds, params, out) };
             return;
@@ -237,6 +244,66 @@ pub(crate) fn fill_scalar_unit(seed: u64, c0: usize, params: &McParams, out: &mu
 /// in logical order.
 pub(crate) fn draw_unit(seed: u64, c0: usize, params: &McParams, out: &mut [[f64; 3]]) {
     scalar_unit(seed, c0, out, |rng| params.draw(rng));
+}
+
+/// Counts the draws whose [`McParams::combine`] is below 1, and reports
+/// whether every combined sample is finite: the per-experiment pass of
+/// the counting path, dispatched to an AVX-512 or AVX2 instantiation
+/// when the machine has one, as [`fill_unit`] is.
+pub(crate) fn count_below_one(params: &McParams, draws: &[[f64; 3]]) -> (usize, bool) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512_detected() {
+            // SAFETY: the required features were just verified at runtime.
+            return unsafe { count_avx512(params, draws) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just verified at runtime.
+            return unsafe { count_avx2(params, draws) };
+        }
+    }
+    count_body(params, draws)
+}
+
+/// AVX-512 instantiation of [`count_body`] (8×f64 vectors).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, AVX-512DQ, AVX-512VL and AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(
+    enable = "avx512f",
+    enable = "avx512dq",
+    enable = "avx512vl",
+    enable = "avx2"
+)]
+unsafe fn count_avx512(params: &McParams, draws: &[[f64; 3]]) -> (usize, bool) {
+    count_body(params, draws)
+}
+
+/// AVX2 instantiation of [`count_body`] (4×f64 vectors).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn count_avx2(params: &McParams, draws: &[[f64; 3]]) -> (usize, bool) {
+    count_body(params, draws)
+}
+
+/// The count shared by every ISA instantiation: branch-free, so LLVM
+/// vectorizes it; the rare non-finite case is rescanned by the caller.
+#[inline(always)]
+fn count_body(params: &McParams, draws: &[[f64; 3]]) -> (usize, bool) {
+    let mut below = 0usize;
+    let mut non_finite = 0usize;
+    for &d in draws {
+        let v = params.combine(d);
+        below += usize::from(v < 1.0);
+        non_finite += usize::from(!v.is_finite());
+    }
+    (below, non_finite == 0)
 }
 
 /// Runs `item` once per slot of `out`, in order, on one serial `StdRng`
@@ -371,6 +438,58 @@ mod tests {
         for pos in LANES * MC_CHUNK_SAMPLES..samples {
             assert_eq!(logical_index(pos, samples, true), pos);
             assert_eq!(buffer_index(pos, samples, true), pos);
+        }
+    }
+
+    /// The scalar counting loop the vector count replaced, over triples.
+    fn scalar_count(params: &McParams, draws: &[[f64; 3]]) -> (usize, bool) {
+        let mut below = 0usize;
+        let mut finite = true;
+        for &d in draws {
+            let v = params.combine(d);
+            below += usize::from(v < 1.0);
+            finite &= v.is_finite();
+        }
+        (below, finite)
+    }
+
+    #[test]
+    fn vector_count_matches_the_scalar_loop() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        let mut lengths: Vec<usize> = (0..=17).collect();
+        lengths.push(8449);
+        for round in 0..40 {
+            let p = McParams {
+                a_ratio: Uniform::new_inclusive(0.05, 3.0).sample(&mut rng),
+                o_ratio: Uniform::new_inclusive(0.05, 3.0).sample(&mut rng),
+                ..params()
+            };
+            for &len in &lengths {
+                let mut draws: Vec<[f64; 3]> = (0..len).map(|_| p.draw(&mut rng)).collect();
+                // Odd rounds poison a few components with NaN, ±inf, ±0.
+                if round % 2 == 1 {
+                    for k in 0..len.min(3) {
+                        let slot = (k * 7 + round) % len;
+                        let special = specials[(k + round) % specials.len()];
+                        if let Some(d) = draws.get_mut(slot) {
+                            d[(k + round) % 3] = special;
+                        }
+                    }
+                }
+                let want = scalar_count(&p, &draws);
+                assert_eq!(
+                    count_below_one(&p, &draws),
+                    want,
+                    "round {round}, len {len}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    // SAFETY: AVX2 was just verified at runtime.
+                    let avx2 = unsafe { count_avx2(&p, &draws) };
+                    assert_eq!(avx2, want, "avx2, round {round}, len {len}");
+                }
+            }
         }
     }
 

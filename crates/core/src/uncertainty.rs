@@ -482,14 +482,8 @@ impl MonteCarloNcf {
                 Some(draws) => draws,
                 None => draws.insert(self.draws_on(engine, &params, samples)?),
             };
-            // Branch-free count; the rare non-finite case rescans below.
-            let mut below = 0usize;
-            let mut finite = true;
-            for &d in draws.iter() {
-                let v = params.combine(d);
-                below += usize::from(v < 1.0);
-                finite &= v.is_finite();
-            }
+            // Vector count; the rare non-finite case rescans below.
+            let (below, finite) = mc_kernel::count_below_one(&params, draws);
             if !finite {
                 let lowest = draws
                     .iter()

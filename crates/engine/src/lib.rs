@@ -21,8 +21,20 @@
 //! one sequential stream.
 //!
 //! With one thread (or one chunk) every operation takes the exact serial
-//! code path: no worker threads are spawned, no queues are built, and the
-//! chunk loop runs inline on the caller's thread.
+//! code path: no worker threads are spawned, no queues are built, no
+//! clock is read, and the chunk loop runs inline on the caller's thread.
+//!
+//! ## Scheduling: inline first, helpers after a budget
+//!
+//! FOCAL's evaluations take microseconds, so a thread spawn usually costs
+//! more than the fan-out it would split. Every operation therefore runs
+//! its chunks on the calling thread, in index order, and only once it has
+//! run for [`SPAWN_BUDGET`] does it spawn `threads − 1` scoped helpers
+//! for the chunks left, with the caller working alongside them. The
+//! worker count is an upper bound: short fan-outs use one thread at any
+//! `FOCAL_THREADS`, and long ones (a million Monte-Carlo samples) spread
+//! over the workers. Where a chunk runs never changes what it computes
+//! or where its result lands.
 //!
 //! ## The fault-tolerance contract
 //!
@@ -75,4 +87,4 @@ pub mod fault;
 mod pool;
 
 pub use fault::{ChunkError, FaultKind, FaultPlan};
-pub use pool::{chunk_count, chunk_seed, Engine, PAR_MAP_CHUNKS, THREADS_ENV};
+pub use pool::{chunk_count, chunk_seed, Engine, PAR_MAP_CHUNKS, SPAWN_BUDGET, THREADS_ENV};

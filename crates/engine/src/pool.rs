@@ -1,12 +1,15 @@
 //! The scoped-thread work-stealing pool behind [`Engine`].
 //!
-//! Scheduling: the chunk-index space `0..n_chunks` is pre-partitioned
-//! into one contiguous [`StealRange`] per worker. A worker pops chunks
-//! from the *front* of its own range; when the range drains it steals a
-//! chunk from the *back* of the most loaded victim's range. Both ends are
-//! manipulated with a single packed compare-and-swap, so the scheduler is
-//! lock-free and never blocks a worker that still has work. No queue ever
-//! *gains* chunks, so one full empty scan is a correct termination proof.
+//! Scheduling: a fan-out first runs chunks on the calling thread, in
+//! index order. Only once it has run for [`SPAWN_BUDGET`] does it split
+//! the remaining chunk indices into one contiguous [`StealRange`] per
+//! worker, spawn `threads − 1` scoped helpers and take worker 0's range
+//! itself. A worker pops chunks from the *front* of its own range; when
+//! the range drains it steals a chunk from the *back* of the most loaded
+//! victim's range. Both ends are manipulated with a single packed
+//! compare-and-swap, so the scheduler is lock-free and never blocks a
+//! worker that still has work. No queue ever *gains* chunks, so one full
+//! empty scan is a correct termination proof.
 //!
 //! Determinism does not depend on any of this: every chunk's result is
 //! tagged with its chunk index and the caller-visible output is assembled
@@ -15,6 +18,7 @@
 use crate::fault::{self, ChunkError, FaultPlan};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Environment variable selecting the worker count (any positive integer).
 pub const THREADS_ENV: &str = "FOCAL_THREADS";
@@ -27,6 +31,29 @@ pub const THREADS_ENV: &str = "FOCAL_THREADS";
 /// chunks load-balance well past the worker counts FOCAL targets while
 /// keeping per-chunk overhead negligible.
 pub const PAR_MAP_CHUNKS: usize = 64;
+
+/// How long a fan-out runs its chunks on the calling thread before it
+/// hands the rest to helper threads.
+///
+/// FOCAL's evaluations take microseconds, so most fan-outs finish before
+/// a helper thread could start. Measured on a shared 2-vCPU x86-64 VM
+/// with about one effective core: an empty 30-item `par_map` took ≈90 µs
+/// at 2 threads when every fan-out spawned, against ≈3 µs at 1; a suite
+/// run makes 12 fan-outs whose median is 9 µs and whose longest is
+/// 0.26 ms at the median. In 500 quiet runs one fan-out passed 1 ms
+/// (3.8 ms) and with two CPU-bound processes competing 8 of 400 runs did
+/// (4.4 ms at most); none reached 5 ms. Wall-clock time counts time the
+/// host steals, so a stalled fan-out may still cross the budget, at the
+/// cost of one spawn. Fan-outs that outlast it, such as the Monte-Carlo
+/// draws of `suite --samples 1048576`, still spread over the workers.
+/// DESIGN.md §9 has the measurements.
+pub const SPAWN_BUDGET: Duration = Duration::from_millis(5);
+
+/// Most chunks a fan-out runs between two reads of the clock while it
+/// is inside [`SPAWN_BUDGET`]. A read costs ≈50 ns on the VM above, as
+/// much as many whole chunks; a suite run's crossovers stage, hundreds
+/// of such chunks, took ≈40 µs longer when every chunk read it.
+const CLOCK_STRIDE: usize = 16;
 
 /// A contiguous range of chunk indices `[start, end)` packed into one
 /// `AtomicU64` (`start` in the high 32 bits), so owner pops and thief
@@ -126,13 +153,18 @@ pub fn chunk_count(items: usize, chunk_size: usize) -> usize {
 /// scheduling policy described in the crate docs, and the fault plan
 /// (if any) its operations inject.
 ///
-/// `Engine` is a cheap `Copy` value — workers are scoped threads spawned
-/// per operation, so there is no persistent pool to manage or shut down.
+/// `Engine` is a cheap `Copy` value. An operation runs on the calling
+/// thread until it outlasts [`SPAWN_BUDGET`]; only then does it spawn
+/// scoped helper threads, which join before it returns. There is no
+/// persistent pool to manage or shut down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Engine {
     threads: usize,
     faults: Option<&'static FaultPlan>,
     site: Option<&'static str>,
+    /// [`SPAWN_BUDGET`] for every engine a caller can build; this
+    /// module's tests lower it to drive the helper path.
+    budget: Duration,
 }
 
 impl Engine {
@@ -150,6 +182,7 @@ impl Engine {
             threads: threads.max(1),
             faults: None,
             site: None,
+            budget: SPAWN_BUDGET,
         }
     }
 
@@ -218,8 +251,9 @@ impl Engine {
     /// lowest failing chunk (downcastable by an outer
     /// [`std::panic::catch_unwind`]) instead of tearing down the pool.
     ///
-    /// With one worker or at most one chunk the chunk loop runs inline on
-    /// the calling thread, in index order.
+    /// Chunks run on the calling thread, in index order, until the call
+    /// outlasts [`SPAWN_BUDGET`]; with one worker or at most one chunk
+    /// they all do.
     pub fn par_chunk_map<R, F>(&self, n_chunks: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -277,7 +311,7 @@ impl Engine {
         }
 
         let first_fail = AtomicUsize::new(usize::MAX);
-        let outcomes = self.schedule(n_chunks, |c| {
+        let outcomes = self.schedule(n_chunks, &first_fail, |c| {
             if c > first_fail.load(Ordering::Acquire) {
                 return Outcome::Skipped;
             }
@@ -401,7 +435,7 @@ impl Engine {
             .chunks_mut(unit_size)
             .map(|s| Mutex::new(Some(s)))
             .collect();
-        let outcomes = self.schedule(n_units, |u| {
+        let outcomes = self.schedule(n_units, &first_fail, |u| {
             let c0 = u * group;
             if c0 > first_fail.load(Ordering::Acquire) {
                 return Outcome::Skipped;
@@ -472,7 +506,15 @@ impl Engine {
     /// The scheduling core: evaluates `f` over `0..n_chunks` and returns
     /// results in chunk-index order. `f` must not unwind (the public
     /// entry points wrap it in per-chunk isolation first).
-    fn schedule<R, F>(&self, n_chunks: usize, f: F) -> Vec<R>
+    ///
+    /// Chunks run on the calling thread, in index order, until the call
+    /// has run for this engine's budget (checked every 1 to
+    /// [`CLOCK_STRIDE`] chunks). The chunks left then go to
+    /// `threads − 1` scoped helpers, with the caller working alongside
+    /// them. `first_fail` is the caller's lowest recorded failure
+    /// (`usize::MAX` while none): once a chunk has failed, every chunk
+    /// left would only report itself skipped, so they stay inline.
+    fn schedule<R, F>(&self, n_chunks: usize, first_fail: &AtomicUsize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -484,12 +526,43 @@ impl Engine {
             return (0..n_chunks).map(f).collect();
         }
 
-        let workers = self.threads.min(n_chunks);
-        let per = n_chunks / workers;
-        let extra = n_chunks % workers;
-        // Pre-partition 0..n_chunks into one contiguous range per worker
-        // (the first `extra` workers take one more chunk).
-        let mut start = 0u32;
+        // A clock read costs about as much as a small chunk, so the clock
+        // is read before chunk 0 and then after as many chunks as would
+        // fill half the budget left at the pace so far (1 to
+        // CLOCK_STRIDE): small chunks pay one read per CLOCK_STRIDE, and
+        // a fan-out passes the budget by about one chunk.
+        let started = Instant::now();
+        let mut out = Vec::with_capacity(n_chunks);
+        let mut next_read = 0;
+        while out.len() < n_chunks {
+            let done = out.len();
+            if done == next_read {
+                let spent = started.elapsed();
+                if spent < self.budget {
+                    let left = (self.budget - spent).as_nanos();
+                    let fit = left * done as u128 / (2 * spent.as_nanos()).max(1);
+                    next_read = done + fit.clamp(1, CLOCK_STRIDE as u128) as usize;
+                } else if first_fail.load(Ordering::Acquire) == usize::MAX {
+                    break;
+                } else {
+                    // A chunk failed: the rest are only skipped, here.
+                    next_read = n_chunks;
+                }
+            }
+            out.push(f(done));
+        }
+        let done = out.len();
+        let workers = self.threads.min(n_chunks - done);
+        if workers <= 1 {
+            out.extend((done..n_chunks).map(f));
+            return out;
+        }
+
+        let per = (n_chunks - done) / workers;
+        let extra = (n_chunks - done) % workers;
+        // Partition the remaining chunks into one contiguous range per
+        // worker (the first `extra` workers take one more chunk).
+        let mut start = done as u32;
         let queues: Vec<StealRange> = (0..workers)
             .map(|w| {
                 let len = per + usize::from(w < extra);
@@ -500,57 +573,60 @@ impl Engine {
             })
             .collect();
 
-        let collected: Mutex<Vec<(u32, R)>> = Mutex::new(Vec::with_capacity(n_chunks));
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let queues = &queues;
-                let collected = &collected;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local: Vec<(u32, R)> = Vec::new();
-                    loop {
-                        // Drain our own range from the front…
-                        if let Some(i) = queues.get(me).and_then(StealRange::pop_front) {
-                            local.push((i, f(i as usize)));
-                            continue;
-                        }
-                        // …then steal single chunks from the back of the
-                        // most loaded victim. Queues never refill, so a
-                        // fully empty scan means all work is done or in
-                        // flight elsewhere.
-                        let victim = queues
-                            .iter()
-                            .enumerate()
-                            .filter(|&(v, q)| v != me && q.len() > 0)
-                            .max_by_key(|&(_, q)| q.len())
-                            .map(|(v, _)| v);
-                        match victim
-                            .and_then(|v| queues.get(v))
-                            .and_then(StealRange::steal_back)
-                        {
-                            Some(i) => local.push((i, f(i as usize))),
-                            None => break,
-                        }
-                    }
-                    collected
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .extend(local);
-                });
+        let work = |me: usize| {
+            let mut local: Vec<(u32, R)> = Vec::new();
+            loop {
+                // Drain our own range from the front…
+                if let Some(i) = queues.get(me).and_then(StealRange::pop_front) {
+                    local.push((i, f(i as usize)));
+                    continue;
+                }
+                // …then steal single chunks from the back of the most
+                // loaded victim. Queues never refill, so a fully empty
+                // scan means all work is done or in flight elsewhere.
+                let victim = queues
+                    .iter()
+                    .enumerate()
+                    .filter(|&(v, q)| v != me && q.len() > 0)
+                    .max_by_key(|&(_, q)| q.len())
+                    .map(|(v, _)| v);
+                match victim
+                    .and_then(|v| queues.get(v))
+                    .and_then(StealRange::steal_back)
+                {
+                    Some(i) => local.push((i, f(i as usize))),
+                    None => return local,
+                }
             }
+        };
+        let mut pairs = std::thread::scope(|scope| {
+            let work = &work;
+            let helpers: Vec<_> = (1..workers)
+                .map(|me| scope.spawn(move || work(me)))
+                .collect();
+            // The caller is worker 0 rather than idling until the join.
+            let mut pairs = work(0);
+            for helper in helpers {
+                match helper.join() {
+                    Ok(local) => pairs.extend(local),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            pairs
         });
-
-        let mut pairs = collected
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
         // Deterministic merge: chunk-index order, independent of which
-        // worker computed what when.
+        // worker computed what when, appended after the inline prefix.
         pairs.sort_unstable_by_key(|&(i, _)| i);
         debug_assert!(
-            pairs.len() == n_chunks && pairs.iter().enumerate().all(|(i, &(c, _))| i == c as usize),
+            pairs.len() == n_chunks - done
+                && pairs
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &(c, _))| done + i == c as usize),
             "scheduler must evaluate every chunk exactly once"
         );
-        pairs.into_iter().map(|(_, r)| r).collect()
+        out.extend(pairs.into_iter().map(|(_, r)| r));
+        out
     }
 
     /// Maps `f` over `items`, preserving item order in the output.
@@ -765,7 +841,24 @@ impl Default for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// `e` with a zero budget: every fan-out of more than one chunk goes
+    /// straight to the helper path.
+    fn eager(e: Engine) -> Engine {
+        Engine {
+            budget: Duration::ZERO,
+            ..e
+        }
+    }
+
+    /// The engine at `threads` as callers build it, and its [`eager`]
+    /// twin, so each assertion covers the inline and the helper path.
+    fn engines(threads: usize) -> [Engine; 2] {
+        let e = Engine::with_threads(threads);
+        [e, eager(e)]
+    }
 
     #[test]
     fn pack_unpack_round_trips() {
@@ -812,20 +905,23 @@ mod tests {
     #[test]
     fn par_chunk_map_returns_chunk_order() {
         for threads in [1, 2, 3, 8] {
-            let e = Engine::with_threads(threads);
-            let got = e.par_chunk_map(23, |c| c * 10);
-            let want: Vec<usize> = (0..23).map(|c| c * 10).collect();
-            assert_eq!(got, want, "threads={threads}");
+            for e in engines(threads) {
+                let got = e.par_chunk_map(23, |c| c * 10);
+                let want: Vec<usize> = (0..23).map(|c| c * 10).collect();
+                assert_eq!(got, want, "{e:?}");
+            }
         }
     }
 
     #[test]
     fn par_chunk_map_runs_every_chunk_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-        Engine::with_threads(5).par_chunk_map(97, |c| {
-            hits[c].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        for e in engines(5) {
+            let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
+            e.par_chunk_map(97, |c| {
+                hits[c].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{e:?}");
+        }
     }
 
     #[test]
@@ -833,16 +929,18 @@ mod tests {
         let items: Vec<i64> = (0..1000).collect();
         let want: Vec<i64> = items.iter().map(|x| x * 3 - 1).collect();
         for threads in [1, 2, 7, 16] {
-            let got = Engine::with_threads(threads).par_map(&items, |x| x * 3 - 1);
-            assert_eq!(got, want, "threads={threads}");
+            for e in engines(threads) {
+                assert_eq!(e.par_map(&items, |x| x * 3 - 1), want, "{e:?}");
+            }
         }
     }
 
     #[test]
     fn par_map_handles_empty_and_tiny_inputs() {
-        let e = Engine::with_threads(4);
-        assert_eq!(e.par_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
-        assert_eq!(e.par_map(&[9u8], |&x| x + 1), vec![10]);
+        for e in engines(4) {
+            assert_eq!(e.par_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
+            assert_eq!(e.par_map(&[9u8], |&x| x + 1), vec![10]);
+        }
     }
 
     #[test]
@@ -852,45 +950,32 @@ mod tests {
         let items: Vec<String> = (0..50).map(|i| format!("{i},")).collect();
         let want: String = items.concat();
         for threads in [1, 2, 7] {
-            let got = Engine::with_threads(threads).par_reduce(
-                &items,
-                4,
-                String::new,
-                |acc, s| acc + s,
-                |a, b| a + &b,
-            );
-            assert_eq!(got, want, "threads={threads}");
+            for e in engines(threads) {
+                let got = e.par_reduce(&items, 4, String::new, |acc, s| acc + s, |a, b| a + &b);
+                assert_eq!(got, want, "{e:?}");
+            }
         }
     }
 
     #[test]
     fn par_reduce_float_sums_are_bit_identical_across_threads() {
         let items: Vec<f64> = (0..10_001).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let reduce = |threads| {
-            Engine::with_threads(threads).par_reduce(
-                &items,
-                128,
-                || 0.0f64,
-                |acc, &x| acc + x,
-                |a, b| a + b,
-            )
-        };
-        let t1 = reduce(1);
+        let reduce =
+            |e: Engine| e.par_reduce(&items, 128, || 0.0f64, |acc, &x| acc + x, |a, b| a + b);
+        let t1 = reduce(Engine::serial());
         for threads in [2, 3, 7, 13] {
-            assert_eq!(t1.to_bits(), reduce(threads).to_bits(), "threads={threads}");
+            for e in engines(threads) {
+                assert_eq!(t1.to_bits(), reduce(e).to_bits(), "{e:?}");
+            }
         }
     }
 
     #[test]
     fn par_reduce_of_empty_input_is_init() {
-        let got = Engine::with_threads(3).par_reduce(
-            &[] as &[u64],
-            8,
-            || 17u64,
-            |acc, &x| acc + x,
-            |a, b| a + b,
-        );
-        assert_eq!(got, 17);
+        for e in engines(3) {
+            let got = e.par_reduce(&[] as &[u64], 8, || 17u64, |acc, &x| acc + x, |a, b| a + b);
+            assert_eq!(got, 17, "{e:?}");
+        }
     }
 
     /// Marker for deliberate test panics; the filtering hook below keeps
@@ -924,21 +1009,22 @@ mod tests {
         let failing = [3usize, 11, 17];
         let mut reference: Option<ChunkError> = None;
         for threads in [1, 2, 7, 16] {
-            let e = Engine::with_threads(threads);
-            let err = e
-                .try_par_chunk_map(100, 23, |c| {
-                    if failing.contains(&c) {
-                        panic!("{POISON} chunk {c}");
-                    }
-                    c
-                })
-                .unwrap_err();
-            assert_eq!(err.chunk_index, 3, "threads={threads}");
-            assert_eq!(err.chunk_seed, chunk_seed(100, 3), "threads={threads}");
-            assert!(err.payload.contains(POISON), "threads={threads}");
-            match &reference {
-                None => reference = Some(err),
-                Some(r) => assert_eq!(*r, err, "threads={threads}: error not invariant"),
+            for e in engines(threads) {
+                let err = e
+                    .try_par_chunk_map(100, 23, |c| {
+                        if failing.contains(&c) {
+                            panic!("{POISON} chunk {c}");
+                        }
+                        c
+                    })
+                    .unwrap_err();
+                assert_eq!(err.chunk_index, 3, "{e:?}");
+                assert_eq!(err.chunk_seed, chunk_seed(100, 3), "{e:?}");
+                assert!(err.payload.contains(POISON), "{e:?}");
+                match &reference {
+                    None => reference = Some(err),
+                    Some(r) => assert_eq!(*r, err, "{e:?}: error not invariant"),
+                }
             }
         }
     }
@@ -946,40 +1032,43 @@ mod tests {
     #[test]
     fn engine_is_reusable_after_a_poisoned_run() {
         quiet_deliberate_panics();
-        let e = Engine::with_threads(4);
-        for round in 0..3 {
-            let err = e
-                .try_par_chunk_map(0, 16, |c| {
-                    if c == 5 {
-                        panic!("{POISON} round {round}");
-                    }
-                    c * 2
-                })
-                .unwrap_err();
-            assert_eq!(err.chunk_index, 5);
-            // The very same engine still computes clean runs correctly.
-            let ok = e.par_chunk_map(16, |c| c * 2);
-            assert_eq!(ok, (0..16).map(|c| c * 2).collect::<Vec<_>>());
+        for e in engines(4) {
+            for round in 0..3 {
+                let err = e
+                    .try_par_chunk_map(0, 16, |c| {
+                        if c == 5 {
+                            panic!("{POISON} round {round}");
+                        }
+                        c * 2
+                    })
+                    .unwrap_err();
+                assert_eq!(err.chunk_index, 5, "{e:?}");
+                // The very same engine still computes clean runs correctly.
+                let ok = e.par_chunk_map(16, |c| c * 2);
+                assert_eq!(ok, (0..16).map(|c| c * 2).collect::<Vec<_>>(), "{e:?}");
+            }
         }
     }
 
     #[test]
     fn infallible_ops_resume_with_a_downcastable_chunk_error() {
         quiet_deliberate_panics();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Engine::with_threads(3).par_chunk_map(10, |c| {
-                if c == 7 {
-                    panic!("{POISON} deep");
-                }
-                c
-            })
-        }))
-        .unwrap_err();
-        let err = caught
-            .downcast_ref::<ChunkError>()
-            .expect("payload should be the structured ChunkError");
-        assert_eq!(err.chunk_index, 7);
-        assert_eq!(err.chunk_seed, chunk_seed(0, 7));
+        for e in engines(3) {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.par_chunk_map(10, |c| {
+                    if c == 7 {
+                        panic!("{POISON} deep");
+                    }
+                    c
+                })
+            }))
+            .unwrap_err();
+            let err = caught
+                .downcast_ref::<ChunkError>()
+                .expect("payload should be the structured ChunkError");
+            assert_eq!(err.chunk_index, 7, "{e:?}");
+            assert_eq!(err.chunk_seed, chunk_seed(0, 7), "{e:?}");
+        }
     }
 
     #[test]
@@ -989,15 +1078,17 @@ mod tests {
         // regardless of thread count.
         let items: Vec<usize> = (0..1000).collect();
         for threads in [1, 2, 7, 32] {
-            let err = Engine::with_threads(threads)
-                .try_par_map(0, &items, |&x| {
-                    if x == 500 {
-                        panic!("{POISON} item {x}");
-                    }
-                    x
-                })
-                .unwrap_err();
-            assert_eq!(err.chunk_index, 500 / 16, "threads={threads}");
+            for e in engines(threads) {
+                let err = e
+                    .try_par_map(0, &items, |&x| {
+                        if x == 500 {
+                            panic!("{POISON} item {x}");
+                        }
+                        x
+                    })
+                    .unwrap_err();
+                assert_eq!(err.chunk_index, 500 / 16, "{e:?}");
+            }
         }
     }
 
@@ -1006,10 +1097,9 @@ mod tests {
         let items: Vec<i64> = (0..777).collect();
         let want: Vec<i64> = items.iter().map(|x| x + 1).collect();
         for threads in [1, 2, 7] {
-            let got = Engine::with_threads(threads)
-                .try_par_map(0, &items, |x| x + 1)
-                .unwrap();
-            assert_eq!(got, want, "threads={threads}");
+            for e in engines(threads) {
+                assert_eq!(e.try_par_map(0, &items, |x| x + 1).unwrap(), want, "{e:?}");
+            }
         }
     }
 
@@ -1018,25 +1108,27 @@ mod tests {
         quiet_deliberate_panics();
         let items: Vec<usize> = (0..300).collect();
         for threads in [1, 2, 4, 7] {
-            let slots = Engine::with_threads(threads)
-                .try_par_map_isolated(5, &items, |&x| {
-                    if x == 123 {
-                        panic!("{POISON} item {x}");
+            for e in engines(threads) {
+                let slots = e
+                    .try_par_map_isolated(5, &items, |&x| {
+                        if x == 123 {
+                            panic!("{POISON} item {x}");
+                        }
+                        x * 2
+                    })
+                    .unwrap();
+                assert_eq!(slots.len(), items.len(), "{e:?}");
+                for (i, slot) in slots.iter().enumerate() {
+                    if i == 123 {
+                        let err = slot.as_ref().unwrap_err();
+                        // The error's chunk_index is the *item* index, and its
+                        // seed is derived from it — both thread-count-invariant.
+                        assert_eq!(err.chunk_index, 123, "{e:?}");
+                        assert_eq!(err.chunk_seed, chunk_seed(5, 123), "{e:?}");
+                        assert!(err.payload.contains("item 123"), "{e:?}");
+                    } else {
+                        assert_eq!(slot.as_ref().unwrap(), &(i * 2), "{e:?}");
                     }
-                    x * 2
-                })
-                .unwrap();
-            assert_eq!(slots.len(), items.len(), "threads={threads}");
-            for (i, slot) in slots.iter().enumerate() {
-                if i == 123 {
-                    let err = slot.as_ref().unwrap_err();
-                    // The error's chunk_index is the *item* index, and its
-                    // seed is derived from it — both thread-count-invariant.
-                    assert_eq!(err.chunk_index, 123, "threads={threads}");
-                    assert_eq!(err.chunk_seed, chunk_seed(5, 123), "threads={threads}");
-                    assert!(err.payload.contains("item 123"), "threads={threads}");
-                } else {
-                    assert_eq!(slot.as_ref().unwrap(), &(i * 2), "threads={threads}");
                 }
             }
         }
@@ -1047,13 +1139,15 @@ mod tests {
         let items: Vec<i64> = (0..500).collect();
         let want: Vec<i64> = items.iter().map(|x| x * 7).collect();
         for threads in [1, 3, 8] {
-            let got: Vec<i64> = Engine::with_threads(threads)
-                .try_par_map_isolated(0, &items, |x| x * 7)
-                .unwrap()
-                .into_iter()
-                .map(|r| r.unwrap())
-                .collect();
-            assert_eq!(got, want, "threads={threads}");
+            for e in engines(threads) {
+                let got: Vec<i64> = e
+                    .try_par_map_isolated(0, &items, |x| x * 7)
+                    .unwrap()
+                    .into_iter()
+                    .map(|r| r.unwrap())
+                    .collect();
+                assert_eq!(got, want, "{e:?}");
+            }
         }
     }
 
@@ -1062,24 +1156,26 @@ mod tests {
         quiet_deliberate_panics();
         let items: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 7] {
-            let err = Engine::with_threads(threads)
-                .try_par_reduce(
-                    9,
-                    &items,
-                    8,
-                    || 0u64,
-                    |acc, &x| {
-                        if x == 42 {
-                            panic!("{POISON} fold");
-                        }
-                        acc + x
-                    },
-                    |a, b| a + b,
-                )
-                .unwrap_err();
-            // Item 42 lives in chunk 42 / 8 = 5.
-            assert_eq!(err.chunk_index, 5, "threads={threads}");
-            assert_eq!(err.chunk_seed, chunk_seed(9, 5), "threads={threads}");
+            for e in engines(threads) {
+                let err = e
+                    .try_par_reduce(
+                        9,
+                        &items,
+                        8,
+                        || 0u64,
+                        |acc, &x| {
+                            if x == 42 {
+                                panic!("{POISON} fold");
+                            }
+                            acc + x
+                        },
+                        |a, b| a + b,
+                    )
+                    .unwrap_err();
+                // Item 42 lives in chunk 42 / 8 = 5.
+                assert_eq!(err.chunk_index, 5, "{e:?}");
+                assert_eq!(err.chunk_seed, chunk_seed(9, 5), "{e:?}");
+            }
         }
     }
 
@@ -1098,26 +1194,29 @@ mod tests {
         let total = 9 * 8 + 5;
         let want: Vec<usize> = (0..total).map(|i| (i / 8) * 1000 + i % 8).collect();
         for threads in [1, 2, 3, 7] {
-            let got = Engine::with_threads(threads)
-                .try_par_chunk_map_into(0, total, 8, 3, usize::MAX, |c0, s| fill_unit(8, c0, s))
-                .unwrap();
-            assert_eq!(got, want, "threads={threads}");
+            for e in engines(threads) {
+                let got = e
+                    .try_par_chunk_map_into(0, total, 8, 3, usize::MAX, |c0, s| fill_unit(8, c0, s))
+                    .unwrap();
+                assert_eq!(got, want, "{e:?}");
+            }
         }
     }
 
     #[test]
     fn try_par_chunk_map_into_handles_degenerate_shapes() {
-        let e = Engine::with_threads(4);
-        // Empty workload: no units, empty output.
-        let empty = e
-            .try_par_chunk_map_into(0, 0, 8, 3, 0usize, |_, _| unreachable!())
-            .unwrap();
-        assert!(empty.is_empty());
-        // Single short chunk, group larger than the chunk count.
-        let got = e
-            .try_par_chunk_map_into(0, 5, 8, 4, 0usize, |c0, s| fill_unit(8, c0, s))
-            .unwrap();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        for e in engines(4) {
+            // Empty workload: no units, empty output.
+            let empty = e
+                .try_par_chunk_map_into(0, 0, 8, 3, 0usize, |_, _| unreachable!())
+                .unwrap();
+            assert!(empty.is_empty());
+            // Single short chunk, group larger than the chunk count.
+            let got = e
+                .try_par_chunk_map_into(0, 5, 8, 4, 0usize, |c0, s| fill_unit(8, c0, s))
+                .unwrap();
+            assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        }
     }
 
     #[test]
@@ -1126,17 +1225,19 @@ mod tests {
         // 12 chunks, group 4 → units {0..4}, {4..8}, {8..12}. A panic
         // while unit 1 runs is attributed to its first chunk, 4.
         for threads in [1, 2, 7] {
-            let err = Engine::with_threads(threads)
-                .try_par_chunk_map_into(9, 12 * 8, 8, 4, 0usize, |c0, s| {
-                    if c0 == 4 {
-                        panic!("{POISON} unit at {c0}");
-                    }
-                    fill_unit(8, c0, s);
-                })
-                .unwrap_err();
-            assert_eq!(err.chunk_index, 4, "threads={threads}");
-            assert_eq!(err.chunk_seed, chunk_seed(9, 4), "threads={threads}");
-            assert!(err.payload.contains(POISON), "threads={threads}");
+            for e in engines(threads) {
+                let err = e
+                    .try_par_chunk_map_into(9, 12 * 8, 8, 4, 0usize, |c0, s| {
+                        if c0 == 4 {
+                            panic!("{POISON} unit at {c0}");
+                        }
+                        fill_unit(8, c0, s);
+                    })
+                    .unwrap_err();
+                assert_eq!(err.chunk_index, 4, "{e:?}");
+                assert_eq!(err.chunk_seed, chunk_seed(9, 4), "{e:?}");
+                assert!(err.payload.contains(POISON), "{e:?}");
+            }
         }
     }
 
@@ -1152,45 +1253,154 @@ mod tests {
     fn try_par_chunk_map_into_injected_fault_names_exact_chunk_inside_unit() {
         // Chunk 6 sits in the middle of unit {4..8}: the injection check
         // must attribute it to chunk 6, not the unit's first chunk 4.
-        let err = faulted(3, "panic@into-test:6", "into-test")
-            .try_par_chunk_map_into(7, 12 * 8, 8, 4, 0usize, |c0, s| fill_unit(8, c0, s))
-            .unwrap_err();
-        assert_eq!(err.chunk_index, 6);
-        assert_eq!(err.chunk_seed, chunk_seed(7, 6));
-        assert!(err.payload.contains("injected fault: panic@into-test:6"));
+        let e = faulted(3, "panic@into-test:6", "into-test");
+        for e in [e, eager(e)] {
+            let err = e
+                .try_par_chunk_map_into(7, 12 * 8, 8, 4, 0usize, |c0, s| fill_unit(8, c0, s))
+                .unwrap_err();
+            assert_eq!(err.chunk_index, 6, "{e:?}");
+            assert_eq!(err.chunk_seed, chunk_seed(7, 6), "{e:?}");
+            assert!(err.payload.contains("injected fault: panic@into-test:6"));
+        }
     }
 
     #[test]
     fn engine_is_reusable_after_a_poisoned_into_run() {
         quiet_deliberate_panics();
-        let e = Engine::with_threads(4);
-        let err = e
-            .try_par_chunk_map_into(0, 16 * 4, 4, 2, 0usize, |c0, s| {
-                if c0 == 6 {
-                    panic!("{POISON} into");
-                }
-                fill_unit(4, c0, s);
-            })
-            .unwrap_err();
-        assert_eq!(err.chunk_index, 6);
-        let want: Vec<usize> = (0..16 * 4).map(|i| (i / 4) * 1000 + i % 4).collect();
-        let ok = e
-            .try_par_chunk_map_into(0, 16 * 4, 4, 2, 0usize, |c0, s| fill_unit(4, c0, s))
-            .unwrap();
-        assert_eq!(ok, want);
+        for e in engines(4) {
+            let err = e
+                .try_par_chunk_map_into(0, 16 * 4, 4, 2, 0usize, |c0, s| {
+                    if c0 == 6 {
+                        panic!("{POISON} into");
+                    }
+                    fill_unit(4, c0, s);
+                })
+                .unwrap_err();
+            assert_eq!(err.chunk_index, 6, "{e:?}");
+            let want: Vec<usize> = (0..16 * 4).map(|i| (i / 4) * 1000 + i % 4).collect();
+            let ok = e
+                .try_par_chunk_map_into(0, 16 * 4, 4, 2, 0usize, |c0, s| fill_unit(4, c0, s))
+                .unwrap();
+            assert_eq!(ok, want, "{e:?}");
+        }
     }
 
     #[test]
     fn injected_chunk_faults_surface_as_chunk_errors() {
         let engine = faulted(3, "panic@unit-test:4", "unit-test");
-        let err = engine.try_par_chunk_map(7, 10, |c| c).unwrap_err();
-        assert_eq!(err.chunk_index, 4);
-        assert_eq!(err.chunk_seed, chunk_seed(7, 4));
-        assert!(err.payload.contains("injected fault: panic@unit-test:4"));
-        // The plan fires only at its own site and only on the engine
-        // that carries it.
-        for other in [engine.at_site("other"), engine.with_faults(None)] {
-            assert!(other.try_par_chunk_map(7, 10, |c| c).is_ok());
+        for engine in [engine, eager(engine)] {
+            let err = engine.try_par_chunk_map(7, 10, |c| c).unwrap_err();
+            assert_eq!(err.chunk_index, 4, "{engine:?}");
+            assert_eq!(err.chunk_seed, chunk_seed(7, 4), "{engine:?}");
+            assert!(err.payload.contains("injected fault: panic@unit-test:4"));
+            // The plan fires only at its own site and only on the engine
+            // that carries it.
+            for other in [engine.at_site("other"), engine.with_faults(None)] {
+                assert!(other.try_par_chunk_map(7, 10, |c| c).is_ok(), "{other:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_max_budget_runs_every_chunk_on_the_calling_thread() {
+        let e = Engine {
+            budget: Duration::MAX,
+            ..Engine::with_threads(4)
+        };
+        let me = std::thread::current().id();
+        let ran = e.par_chunk_map(100, |_| std::thread::current().id());
+        assert!(ran.iter().all(|&t| t == me));
+    }
+
+    #[test]
+    fn past_the_budget_the_caller_works_beside_threads_minus_one_helpers() {
+        // Each chunk waits (up to a timeout) until all three have started,
+        // so the three run at once: chunk 0 heads the caller's own range,
+        // and each helper is busy with its own chunk until then.
+        let started = AtomicUsize::new(0);
+        let ran = eager(Engine::with_threads(3)).par_chunk_map(3, |_| {
+            started.fetch_add(1, Ordering::AcqRel);
+            let waiting = Instant::now();
+            while started.load(Ordering::Acquire) < 3 && waiting.elapsed() < Duration::from_secs(10)
+            {
+                std::hint::spin_loop();
+            }
+            std::thread::current().id()
+        });
+        assert_eq!(ran[0], std::thread::current().id());
+        assert!(
+            ran[1] != ran[0] && ran[2] != ran[0] && ran[1] != ran[2],
+            "{ran:?}"
+        );
+    }
+
+    #[test]
+    fn a_recorded_failure_keeps_the_remaining_chunks_inline() {
+        // Past the budget, with a failure already recorded: the chunks
+        // left would only be skipped, so no helper is spawned for them.
+        let failed = AtomicUsize::new(0);
+        let me = std::thread::current().id();
+        let ran = eager(Engine::with_threads(4))
+            .schedule(50, &failed, |c| (c, std::thread::current().id()));
+        assert_eq!(ran.len(), 50);
+        assert!(ran.iter().enumerate().all(|(i, &(c, t))| i == c && t == me));
+    }
+
+    proptest! {
+        /// Whatever the budget and the worker count, and wherever a failing
+        /// chunk falls — in the inline prefix or in the helpers' remainder
+        /// — a fan-out returns exactly what the serial engine returns, and
+        /// runs each chunk up to the lowest failure exactly once.
+        #[test]
+        fn every_budget_and_split_matches_the_serial_run(
+            budget_pick in 0usize..3,
+            threads_pick in 0usize..4,
+            n_chunks in 0usize..=200,
+            split_frac in 0.0f64..=1.0,
+            fail_pick in 0usize..3,
+            fail_frac in 0.0f64..1.0,
+        ) {
+            quiet_deliberate_panics();
+            let budget = [Duration::ZERO, Duration::from_micros(20), Duration::MAX][budget_pick];
+            let threads = [1, 2, 3, 7][threads_pick];
+            // Chunks below `split` run inline: the chunk before it spins
+            // past the budget (the other chunks are far quicker than it),
+            // so the split falls at the first clock read after it.
+            let split = match budget_pick {
+                0 => 0,
+                1 => (split_frac * n_chunks as f64) as usize,
+                _ => n_chunks,
+            };
+            let pick = |lo: usize, hi: usize| lo + (fail_frac * (hi - lo) as f64) as usize;
+            let failing = match fail_pick {
+                1 if split > 0 => Some(pick(0, split)),
+                2 if split < n_chunks => Some(pick(split, n_chunks)),
+                _ => None,
+            };
+            let runs: Vec<AtomicUsize> = (0..n_chunks).map(|_| AtomicUsize::new(0)).collect();
+            let chunk = |c: usize| {
+                runs[c].fetch_add(1, Ordering::Relaxed);
+                if c + 1 == split && budget_pick == 1 {
+                    let spun = Instant::now();
+                    while spun.elapsed() <= budget {
+                        std::hint::spin_loop();
+                    }
+                }
+                if Some(c) == failing {
+                    panic!("{POISON} chunk {c}");
+                }
+                c * 3 + 1
+            };
+            let e = Engine {
+                budget,
+                ..Engine::with_threads(threads)
+            };
+            let got = e.try_par_chunk_map(11, n_chunks, chunk);
+            let counts: Vec<usize> = runs.iter().map(|r| r.swap(0, Ordering::Relaxed)).collect();
+            prop_assert_eq!(got, Engine::serial().try_par_chunk_map(11, n_chunks, chunk));
+            let must_run = failing.map_or(n_chunks, |f| f + 1);
+            prop_assert!(counts.iter().take(must_run).all(|&n| n == 1), "{counts:?}");
+            prop_assert!(counts.iter().all(|&n| n <= 1), "{counts:?}");
         }
     }
 
