@@ -25,6 +25,7 @@ use focal_core::{
 };
 use focal_engine::Engine;
 use focal_wafer::{DefectDistribution, DefectSimulator, DiePlacement, Wafer};
+use std::fmt::Write as _;
 use std::hint::black_box;
 
 /// The speedup the spatial-index kernel must show over the naive
@@ -264,7 +265,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Every paper figure, end to end, on the configured engine.
-    focal_studies::all_figures_on(&engine)?;
+    let figures = focal_studies::all_figures_on(&engine)?;
     add(
         &mut records,
         "all_figures",
@@ -272,6 +273,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let _ = black_box(focal_studies::all_figures_on(black_box(&engine)));
         }),
     );
+
+    // Float formatting, per number, on what a cold request renders:
+    // every figure cell through `{}` and every finding metric through
+    // `{:.4}`, against core's own formatting of the same values. Ungated;
+    // each pair's ratio is the in-repo formatter's speedup.
+    let cells: Vec<f64> = figures
+        .iter()
+        .flat_map(|f| &f.panels)
+        .flat_map(|p| &p.series)
+        .flat_map(|s| &s.points)
+        .flat_map(|p| [p.performance, p.ncf])
+        .collect();
+    let metrics: Vec<f64> = focal_studies::all_findings_on(&engine)?
+        .iter()
+        .flat_map(|f| &f.metrics)
+        .flat_map(|m| [m.paper, m.measured])
+        .collect();
+    let mut text = String::with_capacity(32 * cells.len());
+    let mut format_kernel = |kernel: &str, values: &[f64], write: fn(&mut String, f64)| {
+        let m = bench.measure(|| {
+            text.clear();
+            for &v in values {
+                write(&mut text, black_box(v));
+            }
+            black_box(&text);
+        });
+        let per_number = Measurement {
+            ns_per_op: m.ns_per_op / values.len().max(1) as f64,
+            ..m
+        };
+        add(&mut records, kernel, per_number);
+    };
+    format_kernel("float_fmt/shortest/figure_cells", &cells, |s, v| {
+        let _ = focal_report::write_shortest(s, v);
+    });
+    format_kernel("float_fmt/core_display/figure_cells", &cells, |s, v| {
+        let _ = write!(s, "{v}");
+    });
+    format_kernel("float_fmt/fixed4/finding_metrics", &metrics, |s, v| {
+        let _ = focal_report::write_fixed(s, v, 4);
+    });
+    format_kernel("float_fmt/core_fixed4/finding_metrics", &metrics, |s, v| {
+        let _ = write!(s, "{v:.4}");
+    });
 
     // Suite stages ride along from one instrumented run (iters = 1):
     // their wall-clocks are the coarse end of the trajectory.

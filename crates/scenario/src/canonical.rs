@@ -26,6 +26,7 @@ use focal_studies::dvfs::DvfsStudy;
 use focal_studies::gating::GatingStudy;
 use focal_studies::multicore::MulticoreStudy;
 use focal_studies::speculation::SpeculationStudy;
+use focal_studies::write_shortest;
 use focal_uarch::{
     Accelerator, BranchPredictor, DarkSiliconSoc, DvfsCore, PipelineGating, PreciseRunahead,
     TurboBoost,
@@ -1376,8 +1377,18 @@ fn yield_spec(model: YieldModel) -> String {
     }
 }
 
-/// Writes one `key = value` line of the `[resolved]` table.
-fn entry<W: fmt::Write>(w: &mut W, key: &str, value: impl fmt::Display) -> fmt::Result {
+/// Writes one `key = value` line of the `[resolved]` table for a float,
+/// spelled as `{}` spells it.
+fn entry<W: fmt::Write>(w: &mut W, key: &str, value: f64) -> fmt::Result {
+    w.write_str(key)?;
+    w.write_str(" = ")?;
+    write_shortest(w, value)?;
+    w.write_char('\n')
+}
+
+/// Writes one `key = value` line of the `[resolved]` table for an
+/// integer.
+fn int_entry<W: fmt::Write>(w: &mut W, key: &str, value: impl fmt::Display) -> fmt::Result {
     writeln!(w, "{key} = {value}")
 }
 
@@ -1400,12 +1411,16 @@ fn list<W: fmt::Write, T>(
 }
 
 fn alpha_list<W: fmt::Write>(w: &mut W, alphas: &[E2oWeight]) -> fmt::Result {
-    list(w, "alpha", alphas, |w, a| write!(w, "{}", a.get()))
+    list(w, "alpha", alphas, |w, a| write_shortest(w, a.get()))
 }
 
 fn band_list<W: fmt::Write>(w: &mut W, ranges: &[E2oRange]) -> fmt::Result {
     list(w, "alpha_bands", ranges, |w, r| {
-        write!(w, "\"{}±{}\"", r.center().get(), r.half_width())
+        w.write_char('"')?;
+        write_shortest(w, r.center().get())?;
+        w.write_char('±')?;
+        write_shortest(w, r.half_width())?;
+        w.write_char('"')
     })
 }
 
@@ -1465,10 +1480,10 @@ impl CanonicalScenario {
                 reference_mm2,
             } => {
                 entry(w, "defect_density_per_cm2", defect_density.get_per_cm2())?;
-                entry(w, "die_max_mm2", die_max_mm2)?;
-                entry(w, "die_min_mm2", die_min_mm2)?;
-                entry(w, "die_steps", die_steps)?;
-                entry(w, "reference_mm2", reference_mm2)?;
+                entry(w, "die_max_mm2", *die_max_mm2)?;
+                entry(w, "die_min_mm2", *die_min_mm2)?;
+                int_entry(w, "die_steps", die_steps)?;
+                entry(w, "reference_mm2", *reference_mm2)?;
                 entry(w, "wafer_diameter_mm", wafer.diameter_mm())?;
                 list(w, "yield_models", yield_models, |w, &m| {
                     write!(w, "{:?}", yield_spec(m))
@@ -1484,7 +1499,7 @@ impl CanonicalScenario {
                 list(w, "bce", bces, |w, b| write!(w, "{b}"))?;
                 entry(w, "gamma", study.gamma.get())?;
                 list(w, "parallel_fraction", fs, |w, f| {
-                    write!(w, "{}", f.parallel())
+                    write_shortest(w, f.parallel())
                 })?;
                 entry(w, "pollack_exponent", study.pollack.exponent())
             }
@@ -1498,7 +1513,7 @@ impl CanonicalScenario {
                 list(w, "bce", bces, |w, b| write!(w, "{b}"))?;
                 entry(w, "big_core_bce", study.big_core_bce)?;
                 entry(w, "gamma", study.gamma.get())?;
-                list(w, "parallel_fraction", fs, |w, f| write!(w, "{f}"))?;
+                list(w, "parallel_fraction", fs, |w, &f| write_shortest(w, f))?;
                 entry(w, "pollack_exponent", study.pollack.exponent())
             }
             StudySpec::Accelerator {
@@ -1509,7 +1524,7 @@ impl CanonicalScenario {
                 band_list(w, ranges)?;
                 entry(w, "area_overhead", study.accelerator.area_overhead())?;
                 entry(w, "energy_advantage", study.accelerator.energy_advantage())?;
-                entry(w, "utilization_steps", steps)
+                int_entry(w, "utilization_steps", steps)
             }
             StudySpec::DarkSilicon {
                 study,
@@ -1523,7 +1538,7 @@ impl CanonicalScenario {
                 )?;
                 band_list(w, ranges)?;
                 entry(w, "energy_advantage", study.soc.energy_advantage())?;
-                entry(w, "utilization_steps", steps)
+                int_entry(w, "utilization_steps", steps)
             }
             StudySpec::Caching {
                 study,
@@ -1537,7 +1552,7 @@ impl CanonicalScenario {
                     "cache_energy_fraction",
                     study.workload.cache_energy_fraction(),
                 )?;
-                list(w, "llc_mib", sizes, |w, s| write!(w, "{}", s.mib()))?;
+                list(w, "llc_mib", sizes, |w, s| write_shortest(w, s.mib()))?;
                 entry(
                     w,
                     "memory_energy_fraction",
@@ -1554,8 +1569,8 @@ impl CanonicalScenario {
                 alphas,
             } => {
                 alpha_list(w, alphas)?;
-                entry(w, "area_steps", steps)?;
-                entry(w, "max_predictor_area", max_area)?;
+                int_entry(w, "area_steps", steps)?;
+                entry(w, "max_predictor_area", *max_area)?;
                 entry(w, "predictor_energy_ratio", study.predictor.energy_ratio())?;
                 entry(
                     w,
@@ -1597,7 +1612,7 @@ impl CanonicalScenario {
             StudySpec::DieShrink => Ok(()),
             StudySpec::CaseStudy { study, alphas } => {
                 alpha_list(w, alphas)?;
-                entry(w, "base_cores", study.base_cores)?;
+                int_entry(w, "base_cores", study.base_cores)?;
                 entry(w, "gamma", study.gamma.get())?;
                 entry(w, "parallel_fraction", study.f.parallel())
             }
@@ -1606,9 +1621,9 @@ impl CanonicalScenario {
                 seed,
                 jitter,
             } => {
-                entry(w, "jitter", jitter)?;
-                entry(w, "samples", samples)?;
-                entry(w, "seed", seed)
+                entry(w, "jitter", *jitter)?;
+                int_entry(w, "samples", samples)?;
+                int_entry(w, "seed", seed)
             }
         }
     }

@@ -17,7 +17,7 @@ use focal_studies::die_shrink::DieShrinkStudy;
 use focal_studies::microarch::MicroarchStudy;
 use focal_studies::robustness::{verdict_robustness_with, VerdictRobustness};
 use focal_studies::wafer_figure::figure1_with;
-use focal_studies::{Figure, Finding};
+use focal_studies::{write_fixed, Figure, Finding};
 use focal_wafer::EmbodiedModel;
 
 /// Bytes reserved for a finding's text (claim, verdict and metric
@@ -56,14 +56,17 @@ impl ScenarioOutput {
             ScenarioOutput::Robustness(rows) => {
                 let mut text = String::with_capacity(rows.len() * ROBUSTNESS_ROW_HINT);
                 for row in rows {
-                    let _ = writeln!(
+                    // `{mechanism}: verdict {verdict}, fixed-work {:.6},
+                    // fixed-time {:.6}`.
+                    let _ = write!(
                         text,
-                        "{}: verdict {}, fixed-work {:.6}, fixed-time {:.6}",
-                        row.mechanism,
-                        row.verdict,
-                        row.fixed_work_agreement,
-                        row.fixed_time_agreement
+                        "{}: verdict {}, fixed-work ",
+                        row.mechanism, row.verdict
                     );
+                    let _ = write_fixed(&mut text, row.fixed_work_agreement, 6);
+                    text.push_str(", fixed-time ");
+                    let _ = write_fixed(&mut text, row.fixed_time_agreement, 6);
+                    text.push('\n');
                 }
                 text.into_bytes()
             }

@@ -2,8 +2,7 @@
 //! [`Figure`] of [`Panel`]s of [`focal_core::SweepSeries`].
 
 use focal_core::SweepSeries;
-use focal_report::{push_cell, AsciiChart, ChartSeries};
-use std::fmt::Write as _;
+use focal_report::{push_cell, write_shortest, AsciiChart, ChartSeries};
 
 /// The CSV header row every panel starts with.
 const CSV_HEADER: &str = "series,label,performance,ncf\n";
@@ -56,7 +55,7 @@ impl Panel {
 
     /// Appends the panel's CSV to `out`: the header row, then one row
     /// per point with its series name and label quoted as RFC 4180
-    /// requires and both values in `{}` Display form.
+    /// requires and both values as `{}` Display writes them.
     fn write_csv(&self, out: &mut String) {
         out.push_str(CSV_HEADER);
         for s in &self.series {
@@ -64,7 +63,12 @@ impl Panel {
                 push_cell(out, &s.name);
                 out.push(',');
                 push_cell(out, &p.label);
-                let _ = writeln!(out, ",{},{}", p.performance, p.ncf);
+                out.push(',');
+                // Writing into a `String` cannot fail.
+                let _ = write_shortest(out, p.performance);
+                out.push(',');
+                let _ = write_shortest(out, p.ncf);
+                out.push('\n');
             }
         }
     }

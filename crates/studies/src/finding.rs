@@ -1,7 +1,7 @@
 //! Common structures for the paper's 17 findings: each study reports the
 //! quantitative claims it reproduces as paper-vs-measured metrics.
 
-use focal_report::Table;
+use focal_report::{write_fixed, Table};
 use std::fmt;
 
 /// One quantitative claim from a finding: the paper's number versus what
@@ -36,15 +36,18 @@ impl Metric {
 }
 
 impl fmt::Display for Metric {
+    /// `{name}: paper {paper:.4}, measured {measured:.4} (ok|MISMATCH)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: paper {:.4}, measured {:.4} ({})",
-            self.name,
-            self.paper,
-            self.measured,
-            if self.matches() { "ok" } else { "MISMATCH" }
-        )
+        f.write_str(&self.name)?;
+        f.write_str(": paper ")?;
+        write_fixed(f, self.paper, 4)?;
+        f.write_str(", measured ")?;
+        write_fixed(f, self.measured, 4)?;
+        f.write_str(if self.matches() {
+            " (ok)"
+        } else {
+            " (MISMATCH)"
+        })
     }
 }
 

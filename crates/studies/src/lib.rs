@@ -61,3 +61,8 @@ pub use registry::{
     StudyBuilder, StudyKind, StudyOutput, FIGURE_IDS, FINDING_IDS,
 };
 pub use report::{findings_markdown, findings_summary_table};
+
+/// The float writers the figure and finding renderers use, re-exported
+/// for crates that render alongside them without depending on
+/// `focal-report` (the scenario crate's canonical writer).
+pub use focal_report::{write_fixed, write_shortest};
