@@ -30,7 +30,7 @@ use focal_core::{
     Scenario, SweepMemo, SweepMemoStats,
 };
 use focal_engine::fault::payload_to_string;
-use focal_engine::{ChunkError, Engine};
+use focal_engine::Engine;
 use focal_studies::robustness::verdict_robustness_with;
 use focal_wafer::{DefectDistribution, DefectSimulator, DiePlacement, Wafer, YieldModel};
 use std::fmt::Write as _;
@@ -368,10 +368,8 @@ fn error_entries(name: &'static str, err: &ModelError) -> Vec<(String, String)> 
 /// The body returns `Ok((passed, entries))` on completion; a returned
 /// [`ModelError`] or an escaping panic records the stage as
 /// [`StageStatus::Error`] with deterministic diagnostics instead of
-/// aborting the suite. Poisoned engine chunks arrive here either as
-/// `Err(ModelError::ChunkPoisoned)` (fallible engine paths) or as a
-/// resumed panic whose payload downcasts to [`ChunkError`] (infallible
-/// paths) — both produce the same diagnostic entries. The body runs on
+/// aborting the suite. Poisoned engine chunks arrive here as
+/// `Err(ModelError::ChunkPoisoned)`. The body runs on
 /// `engine` labelled with the stage name as its fault-injection site,
 /// which is what scopes `--inject panic@<stage>:<chunk>` plans.
 fn run_stage<F>(engine: &Engine, name: &'static str, body: F) -> Stage
@@ -386,16 +384,13 @@ where
         Ok(Ok((true, entries))) => (StageStatus::Ok, entries),
         Ok(Ok((false, entries))) => (StageStatus::Failed, entries),
         Ok(Err(e)) => (StageStatus::Error, error_entries(name, &e)),
-        Err(payload) => {
-            let entries = match payload.downcast::<ChunkError>() {
-                Ok(chunk) => error_entries(name, &ModelError::from(*chunk)),
-                Err(other) => vec![(
-                    "error".to_string(),
-                    format!("stage panicked: {}", payload_to_string(other.as_ref())),
-                )],
-            };
-            (StageStatus::Error, entries)
-        }
+        Err(payload) => (
+            StageStatus::Error,
+            vec![(
+                "error".to_string(),
+                format!("stage panicked: {}", payload_to_string(payload.as_ref())),
+            )],
+        ),
     };
     Stage {
         name,
@@ -595,9 +590,9 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
             mechanisms.iter().map(|&(_, x, y)| (x, y)).collect();
         let mut memo = memo.as_mut();
         let fixed_work =
-            alpha_crossover_batch(engine, &pairs, Scenario::FixedWork, memo.as_deref_mut());
+            alpha_crossover_batch(engine, &pairs, Scenario::FixedWork, memo.as_deref_mut())?;
         let fixed_time =
-            alpha_crossover_batch(engine, &pairs, Scenario::FixedTime, memo.as_deref_mut());
+            alpha_crossover_batch(engine, &pairs, Scenario::FixedTime, memo.as_deref_mut())?;
         let mut entries: Vec<(String, String)> = Vec::with_capacity(mechanisms.len());
         for ((name, x, y), (fw, ft)) in mechanisms.iter().zip(fixed_work.iter().zip(&fixed_time)) {
             let stability =

@@ -12,7 +12,6 @@ use crate::memo::SweepMemo;
 use crate::ncf::Ncf;
 use crate::scenario::Scenario;
 use crate::weight::E2oWeight;
-use std::convert::Infallible;
 use std::fmt;
 
 /// Where a comparison stands as a function of α.
@@ -114,9 +113,9 @@ pub fn alpha_crossover(x: &DesignPoint, y: &DesignPoint, scenario: Scenario) -> 
 /// Computes [`alpha_crossover`] for every `(x, y)` pair of a design-space
 /// sweep in parallel, preserving pair order.
 ///
-/// Each crossover is an independent closed-form evaluation, so
-/// [`focal_engine::Engine::par_map`]'s order-preserving merge makes the
-/// result identical at every thread count. Use
+/// Each crossover is an independent closed-form evaluation, and
+/// [`focal_engine::Engine::try_par_map`] writes each result into its own
+/// slot, so the result is identical at every thread count. Use
 /// [`focal_engine::Engine::serial`] (or `FOCAL_THREADS=1` with
 /// [`focal_engine::Engine::from_env`]) for the exact serial path.
 ///
@@ -125,22 +124,25 @@ pub fn alpha_crossover(x: &DesignPoint, y: &DesignPoint, scenario: Scenario) -> 
 /// identical to the unmemoized call. While `engine` carries a fault plan
 /// the memo is bypassed so injected faults reach the real evaluation
 /// path.
+///
+/// # Errors
+///
+/// [`ModelError::ChunkPoisoned`](crate::ModelError::ChunkPoisoned) naming
+/// the lowest failing chunk if an evaluation panics or `engine`'s fault
+/// plan targets a chunk.
 pub fn alpha_crossover_batch(
     engine: &focal_engine::Engine,
     pairs: &[(DesignPoint, DesignPoint)],
     scenario: Scenario,
     memo: Option<&mut SweepMemo>,
-) -> Vec<AlphaCrossover> {
-    let fanned = SweepMemo::fan_through(
+) -> Result<Vec<AlphaCrossover>> {
+    SweepMemo::fan_through(
         memo.filter(|_| engine.faults().is_none()),
         pairs,
         |m, (x, y)| m.crossover_lookup(x, y, scenario),
         |m, (x, y), &result| m.crossover_insert(x, y, scenario, result),
-        |pairs| {
-            Ok::<_, Infallible>(engine.par_map(pairs, |(x, y)| alpha_crossover(x, y, scenario)))
-        },
-    );
-    fanned.unwrap_or_else(|never| match never {})
+        |pairs| Ok(engine.try_par_map(0, pairs, |(x, y)| alpha_crossover(x, y, scenario))?),
+    )
 }
 
 /// First-order sensitivities of one NCF evaluation: how much the value
@@ -382,8 +384,36 @@ mod tests {
                 &pairs,
                 Scenario::FixedWork,
                 None,
-            );
+            )
+            .unwrap();
             assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn crossover_batch_reports_a_poisoned_chunk_as_an_error() {
+        let y = DesignPoint::reference();
+        let pairs: Vec<(DesignPoint, DesignPoint)> = (1..40)
+            .map(|i| (dp(0.5 + 0.05 * i as f64, 1.1, 1.1, 1.0), y))
+            .collect();
+        let plan = focal_engine::FaultPlan::parse("panic@crossovers:2")
+            .unwrap()
+            .leak();
+        for threads in [1, 2, 7] {
+            let engine = focal_engine::Engine::with_threads(threads)
+                .with_faults(Some(plan))
+                .at_site("crossovers");
+            let mut memo = SweepMemo::new();
+            let err = alpha_crossover_batch(&engine, &pairs, Scenario::FixedWork, Some(&mut memo))
+                .unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    crate::ModelError::ChunkPoisoned { chunk_index: 2, payload, .. }
+                        if payload.contains("panic@crossovers:2")
+                ),
+                "threads={threads}: {err}"
+            );
         }
     }
 

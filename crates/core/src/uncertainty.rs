@@ -648,20 +648,24 @@ impl MonteCarloNcf {
         // sample index, so the poisoned sample is the same at every
         // thread count.
         let nan_at = nan_target(engine);
-        let chunks: Vec<Vec<f64>> = engine.try_par_chunk_map(self.seed, n_chunks, |c| {
-            let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, c));
-            let lo = c * MC_CHUNK_SAMPLES;
-            let hi = (lo + MC_CHUNK_SAMPLES).min(samples);
-            (lo..hi)
-                .map(|i| {
-                    let v = params.sample(&mut rng);
-                    if nan_at == Some(i as u64) {
-                        return f64::NAN;
-                    }
-                    v
-                })
-                .collect()
-        })?;
+        // One `Vec` per chunk (one-item chunks, so chunk index = slot).
+        let chunks =
+            engine.try_par_chunk_map_into(self.seed, n_chunks, 1, 1, Vec::new(), |c, out| {
+                let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, c));
+                let lo = c * MC_CHUNK_SAMPLES;
+                let hi = (lo + MC_CHUNK_SAMPLES).min(samples);
+                if let [slot] = out {
+                    *slot = (lo..hi)
+                        .map(|i| {
+                            let v = params.sample(&mut rng);
+                            if nan_at == Some(i as u64) {
+                                return f64::NAN;
+                            }
+                            v
+                        })
+                        .collect();
+                }
+            })?;
         let values: Vec<f64> = chunks.concat();
         if let Some((i, &v)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
             return Err(non_finite_sample(self.seed, i, v));

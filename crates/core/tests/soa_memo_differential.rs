@@ -157,9 +157,11 @@ proptest! {
 
         let pairs = [(x, y), (y, x), (x, y)];
         for scenario in [Scenario::FixedWork, Scenario::FixedTime] {
-            let plain = alpha_crossover_batch(&engine, &pairs, scenario, None);
-            let cold = alpha_crossover_batch(&engine, &pairs, scenario, Some(&mut memo));
-            let warm = alpha_crossover_batch(&engine, &pairs, scenario, Some(&mut memo));
+            let plain = alpha_crossover_batch(&engine, &pairs, scenario, None).expect("runs");
+            let cold =
+                alpha_crossover_batch(&engine, &pairs, scenario, Some(&mut memo)).expect("runs");
+            let warm =
+                alpha_crossover_batch(&engine, &pairs, scenario, Some(&mut memo)).expect("runs");
             prop_assert_eq!(&cold, &plain);
             prop_assert_eq!(&warm, &plain);
         }

@@ -4,7 +4,7 @@
 //!
 //! [`ChunkError`] is the structured outcome of a *poisoned* chunk: a chunk
 //! whose closure panicked (or was injected with a fault). The engine's
-//! `try_*` operations catch the unwind at the chunk boundary, so a poisoned
+//! fan-out operations catch the unwind at the chunk boundary, so a poisoned
 //! chunk never tears down the worker pool or the process — the caller gets
 //! `Err(ChunkError)` naming the failing chunk, its derived RNG seed and the
 //! panic payload. The reported chunk is always the **lowest failing chunk
@@ -80,17 +80,13 @@ impl fmt::Display for ChunkError {
 impl std::error::Error for ChunkError {}
 
 /// Renders a caught panic payload as a string: `&str` and `String`
-/// payloads verbatim, nested [`ChunkError`]s via their `Display` (so a
-/// failure inside a nested engine operation keeps its chunk context),
-/// anything else as a placeholder.
+/// payloads verbatim, anything else as a placeholder.
 #[must_use]
 pub fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
-    } else if let Some(e) = payload.downcast_ref::<ChunkError>() {
-        e.to_string()
     } else {
         "<non-string panic payload>".to_string()
     }
@@ -462,12 +458,6 @@ mod tests {
         assert_eq!(payload_to_string(s.as_ref()), "static str");
         let s: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
         assert_eq!(payload_to_string(s.as_ref()), "owned");
-        let e: Box<dyn std::any::Any + Send> = Box::new(ChunkError {
-            chunk_index: 1,
-            chunk_seed: 2,
-            payload: "inner".into(),
-        });
-        assert!(payload_to_string(e.as_ref()).contains("chunk 1"));
         let other: Box<dyn std::any::Any + Send> = Box::new(42u32);
         assert_eq!(
             payload_to_string(other.as_ref()),

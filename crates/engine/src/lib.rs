@@ -10,13 +10,15 @@
 //! ## The determinism contract
 //!
 //! Every operation splits its work into *chunks* with a thread-count
-//! independent geometry, evaluates chunks in whatever order the scheduler
-//! reaches them, and then **merges results in chunk-index order**. Because
-//! chunk geometry, per-chunk computation, and merge order are all
-//! independent of how many workers ran, the output of [`Engine::par_map`],
-//! [`Engine::par_chunk_map`] and [`Engine::par_reduce`] is a pure function
-//! of the inputs — `FOCAL_THREADS=1`, `=2` and `=64` produce the same
-//! bytes. Randomized workloads keep the contract by deriving each chunk's
+//! independent geometry and evaluates them in whatever order the
+//! scheduler reaches them, each chunk **writing its own slice of one
+//! output buffer**: nothing is merged, so where and when a chunk ran
+//! cannot change where its result lands. Because chunk geometry and
+//! per-chunk computation are independent of how many workers ran, the
+//! output of [`Engine::try_par_map`], [`Engine::try_par_map_isolated`]
+//! and [`Engine::try_par_chunk_map_into`] is a pure function of the
+//! inputs — `FOCAL_THREADS=1`, `=2` and `=64` produce the same bytes.
+//! Randomized workloads keep the contract by deriving each chunk's
 //! generator from [`chunk_seed`]`(seed, chunk_index)` rather than sharing
 //! one sequential stream.
 //!
@@ -40,15 +42,13 @@
 //!
 //! Every chunk runs inside [`std::panic::catch_unwind`], so a panicking
 //! chunk *poisons that chunk* instead of tearing down the pool or the
-//! process. The fallible operations ([`Engine::try_par_map`],
-//! [`Engine::try_par_chunk_map`], [`Engine::try_par_reduce`]) return
+//! process. Every operation reports a failure one way: it returns
 //! `Err(`[`ChunkError`]`)` naming the **lowest failing chunk index**, its
 //! derived seed and the panic payload — the same error at every thread
-//! count, extending the determinism contract to failures. The infallible
-//! operations resume the panic on the calling thread with the
-//! [`ChunkError`] as payload, downcastable by an outer `catch_unwind`.
-//! Worker threads always join, so an engine remains fully usable after a
-//! poisoned run.
+//! count, extending the determinism contract to failures.
+//! [`Engine::try_par_map_isolated`] goes one step further and confines a
+//! panic to its own item's slot. Worker threads always join, so an
+//! engine remains fully usable after a poisoned run.
 //!
 //! The [`fault`] module adds a deterministic fault-injection hook
 //! ([`FaultPlan`], spec grammar `<kind>@<site>[:conn<N>][:<index>][:<millis>ms]`)
@@ -75,9 +75,10 @@
 //! use focal_engine::Engine;
 //!
 //! let xs: Vec<u64> = (0..10_000).collect();
-//! let serial = Engine::serial().par_map(&xs, |&x| x * x);
-//! let parallel = Engine::with_threads(7).par_map(&xs, |&x| x * x);
+//! let serial = Engine::serial().try_par_map(0, &xs, |&x| x * x);
+//! let parallel = Engine::with_threads(7).try_par_map(0, &xs, |&x| x * x);
 //! assert_eq!(serial, parallel);
+//! assert_eq!(serial.map(|squares| squares[3]), Ok(9));
 //! ```
 
 #![warn(missing_docs)]

@@ -1,21 +1,24 @@
 //! The scoped-thread work-stealing pool behind [`Engine`].
 //!
-//! Scheduling: a fan-out first runs chunks on the calling thread, in
-//! index order. Only once it has run for [`SPAWN_BUDGET`] does it split
-//! the remaining chunk indices into one contiguous [`StealRange`] per
+//! Every fan-out cuts one output buffer into *work units* of one or more
+//! chunks. Scheduling: a fan-out first runs units on the calling thread,
+//! in index order. Only once it has run for [`SPAWN_BUDGET`] does it split
+//! the remaining unit indices into one contiguous [`StealRange`] per
 //! worker, spawn `threads − 1` scoped helpers and take worker 0's range
-//! itself. A worker pops chunks from the *front* of its own range; when
-//! the range drains it steals a chunk from the *back* of the most loaded
+//! itself. A worker pops units from the *front* of its own range; when
+//! the range drains it steals a unit from the *back* of the most loaded
 //! victim's range. Both ends are manipulated with a single packed
 //! compare-and-swap, so the scheduler is lock-free and never blocks a
-//! worker that still has work. No queue ever *gains* chunks, so one full
+//! worker that still has work. No queue ever *gains* units, so one full
 //! empty scan is a correct termination proof.
 //!
-//! Determinism does not depend on any of this: every chunk's result is
-//! tagged with its chunk index and the caller-visible output is assembled
-//! in index order after the scope joins.
+//! Determinism does not depend on any of this: every work unit writes
+//! its own disjoint slice of one output buffer, so where and when a unit
+//! runs never changes where its result lands, and nothing is merged.
 
 use crate::fault::{self, ChunkError, FaultPlan};
+use std::panic::AssertUnwindSafe;
+use std::slice::ChunksMut;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -23,7 +26,8 @@ use std::time::{Duration, Instant};
 /// Environment variable selecting the worker count (any positive integer).
 pub const THREADS_ENV: &str = "FOCAL_THREADS";
 
-/// Chunk-count target for [`Engine::par_map`]'s internal geometry.
+/// Chunk-count target for the internal geometry of [`Engine::try_par_map`]
+/// and [`Engine::try_par_map_isolated`].
 ///
 /// The chunk size is derived from the item count **only** (never the
 /// thread count), so chunk indices — and therefore any [`ChunkError`]'s
@@ -37,10 +41,10 @@ pub const PAR_MAP_CHUNKS: usize = 64;
 ///
 /// FOCAL's evaluations take microseconds, so most fan-outs finish before
 /// a helper thread could start. Measured on a shared 2-vCPU x86-64 VM
-/// with about one effective core: an empty 30-item `par_map` took ≈90 µs
-/// at 2 threads when every fan-out spawned, against ≈3 µs at 1; a suite
-/// run makes 12 fan-outs whose median is 9 µs and whose longest is
-/// 0.26 ms at the median. In 500 quiet runs one fan-out passed 1 ms
+/// with about one effective core: an empty 30-item `par_map` (now
+/// [`Engine::try_par_map`]) took ≈90 µs at 2 threads when every fan-out
+/// spawned, against ≈3 µs at 1; a suite run makes 12 fan-outs whose
+/// median is 9 µs and whose longest is 0.26 ms at the median. In 500 quiet runs one fan-out passed 1 ms
 /// (3.8 ms) and with two CPU-bound processes competing 8 of 400 runs did
 /// (4.4 ms at most); none reached 5 ms. Wall-clock time counts time the
 /// host steals, so a stalled fan-out may still cross the budget, at the
@@ -49,13 +53,13 @@ pub const PAR_MAP_CHUNKS: usize = 64;
 /// DESIGN.md §9 has the measurements.
 pub const SPAWN_BUDGET: Duration = Duration::from_millis(5);
 
-/// Most chunks a fan-out runs between two reads of the clock while it
-/// is inside [`SPAWN_BUDGET`]. A read costs ≈50 ns on the VM above, as
-/// much as many whole chunks; a suite run's crossovers stage, hundreds
-/// of such chunks, took ≈40 µs longer when every chunk read it.
+/// Most work units a fan-out runs between two reads of the clock while
+/// it is inside [`SPAWN_BUDGET`]. A read costs ≈50 ns on the VM above, as
+/// much as many whole units; a suite run's crossovers stage, hundreds
+/// of such units, took ≈40 µs longer when every unit read it.
 const CLOCK_STRIDE: usize = 16;
 
-/// A contiguous range of chunk indices `[start, end)` packed into one
+/// A contiguous range of unit indices `[start, end)` packed into one
 /// `AtomicU64` (`start` in the high 32 bits), so owner pops and thief
 /// steals are single CAS operations.
 struct StealRange {
@@ -79,14 +83,14 @@ impl StealRange {
         }
     }
 
-    /// Number of chunks currently queued (racy snapshot, used only for
+    /// Number of units currently queued (racy snapshot, used only for
     /// victim selection).
     fn len(&self) -> u32 {
         let (s, e) = unpack(self.bits.load(Ordering::Relaxed));
         e.saturating_sub(s)
     }
 
-    /// Pops the front chunk (owner side).
+    /// Pops the front unit (owner side).
     fn pop_front(&self) -> Option<u32> {
         let mut cur = self.bits.load(Ordering::Acquire);
         loop {
@@ -106,7 +110,7 @@ impl StealRange {
         }
     }
 
-    /// Steals the back chunk (thief side).
+    /// Steals the back unit (thief side).
     fn steal_back(&self) -> Option<u32> {
         let mut cur = self.bits.load(Ordering::Acquire);
         loop {
@@ -239,134 +243,68 @@ impl Engine {
         self.threads
     }
 
-    /// Evaluates `f(0), f(1), …, f(n_chunks − 1)` and returns the results
-    /// **in chunk-index order**, regardless of the order the scheduler
-    /// executed them in. This is the primitive everything else builds on;
-    /// use it directly when each chunk needs its index (e.g. to derive a
-    /// per-chunk RNG via [`chunk_seed`]).
+    /// Maps `f` over `items`, preserving item order in the output.
     ///
-    /// Chunks run under the same per-chunk isolation as
-    /// [`Engine::try_par_chunk_map`]; if a chunk panics, the panic resumes
-    /// on the calling thread with a [`ChunkError`] payload naming the
-    /// lowest failing chunk (downcastable by an outer
-    /// [`std::panic::catch_unwind`]) instead of tearing down the pool.
-    ///
-    /// Chunks run on the calling thread, in index order, until the call
-    /// outlasts [`SPAWN_BUDGET`]; with one worker or at most one chunk
-    /// they all do.
-    pub fn par_chunk_map<R, F>(&self, n_chunks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match self.try_par_chunk_map(0, n_chunks, f) {
-            Ok(v) => v,
-            // Propagate as a panic carrying the structured error — an
-            // outer catch_unwind can downcast to ChunkError. resume_unwind
-            // does not re-run the panic hook, so the original panic's
-            // backtrace (already printed when it first fired) is not
-            // duplicated.
-            Err(e) => std::panic::resume_unwind(Box::new(e)),
-        }
-    }
-
-    /// Fallible [`Engine::par_chunk_map`]: every chunk runs inside
-    /// [`std::panic::catch_unwind`], so a panicking chunk *poisons* that
-    /// chunk instead of unwinding through the worker pool. On failure the
-    /// returned [`ChunkError`] names the **lowest failing chunk index**
-    /// (with its [`chunk_seed`]-derived seed and stringified payload),
-    /// which makes the error thread-count invariant: whichever chunk
-    /// happens to fail *first in time*, the reported chunk is the same at
-    /// `FOCAL_THREADS=1` and `=64`.
-    ///
-    /// Failure short-circuits deterministically: once a chunk at index
-    /// `i` fails, chunks with indices above the current lowest failure
-    /// are skipped (their results could never be observed), while every
-    /// chunk *below* it still runs — so a lower-indexed failure is never
-    /// missed. Worker threads always join; the engine is fully reusable
-    /// after a poisoned run.
-    ///
-    /// `seed` is threaded into the error for reproduction only (it is the
-    /// base the failing chunk's RNG seed is derived from); pass 0 for
-    /// non-randomized workloads.
+    /// Chunk geometry is internal and derived from the item count **only**
+    /// (see [`PAR_MAP_CHUNKS`]): item `i` belongs to chunk
+    /// `i / ceil(len / 64)`, so the output and the chunk a failing item is
+    /// reported under are the same at every thread count. Each chunk
+    /// writes its items straight into the output.
     ///
     /// # Errors
     ///
-    /// Returns the [`ChunkError`] of the lowest failing chunk if any
-    /// chunk panics or this engine's fault plan targets one.
-    pub fn try_par_chunk_map<R, F>(
+    /// Returns the [`ChunkError`] of the lowest failing chunk if `f`
+    /// panics for any item or the engine's fault plan targets a chunk
+    /// (see [`Engine::try_par_chunk_map_into`]).
+    pub fn try_par_map<T, R, F>(&self, seed: u64, items: &[T], f: F) -> Result<Vec<R>, ChunkError>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        self.map_items(seed, items, |_, item| f(item))
+    }
+
+    /// [`Engine::try_par_map`] with **per-item** fault isolation: every
+    /// item runs inside its own [`std::panic::catch_unwind`], so a
+    /// panicking item poisons *only its own slot* instead of the whole
+    /// map. The serving layer uses this so one poisoned query in a
+    /// coalesced batch degrades only itself.
+    ///
+    /// The returned vector is in item order; a failing item's slot holds
+    /// a [`ChunkError`] whose `chunk_index` is the **item index** (and
+    /// whose seed is [`chunk_seed`]`(seed, item_index)`), which makes
+    /// per-item diagnostics thread-count invariant — the same item fails
+    /// with the same error at `FOCAL_THREADS=1` and `=64`. Chunk geometry
+    /// is that of [`Engine::try_par_map`].
+    ///
+    /// # Errors
+    ///
+    /// The outer `Result` fails only when the engine's
+    /// [`FaultPlan`] targets a chunk of this call (genuine
+    /// panics never escape the per-item isolation); the error names the
+    /// lowest injected chunk, exactly like [`Engine::try_par_map`].
+    pub fn try_par_map_isolated<T, R, F>(
         &self,
         seed: u64,
-        n_chunks: usize,
+        items: &[T],
         f: F,
-    ) -> Result<Vec<R>, ChunkError>
+    ) -> Result<Vec<Result<R, ChunkError>>, ChunkError>
     where
+        T: Sync,
         R: Send,
-        F: Fn(usize) -> R + Sync,
+        F: Fn(&T) -> R + Sync,
     {
-        enum Outcome<R> {
-            Done(R),
-            Poisoned(ChunkError),
-            Skipped,
-        }
-
-        let first_fail = AtomicUsize::new(usize::MAX);
-        let outcomes = self.schedule(n_chunks, &first_fail, |c| {
-            if c > first_fail.load(Ordering::Acquire) {
-                return Outcome::Skipped;
-            }
-            if let Some(payload) = self.injected_chunk_fault(c) {
-                first_fail.fetch_min(c, Ordering::AcqRel);
-                return Outcome::Poisoned(ChunkError {
-                    chunk_index: c,
-                    chunk_seed: chunk_seed(seed, c),
-                    payload,
-                });
-            }
-            // AssertUnwindSafe: on unwind every chunk result is discarded
-            // and only the ChunkError escapes, so no closure state in a
-            // broken intermediate state is ever observed by the caller.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(c))) {
-                Ok(v) => Outcome::Done(v),
-                Err(p) => {
-                    first_fail.fetch_min(c, Ordering::AcqRel);
-                    Outcome::Poisoned(ChunkError {
-                        chunk_index: c,
-                        chunk_seed: chunk_seed(seed, c),
-                        payload: fault::payload_to_string(p.as_ref()),
-                    })
-                }
-            }
-        });
-
-        let mut out = Vec::with_capacity(n_chunks);
-        for (i, o) in outcomes.into_iter().enumerate() {
-            match o {
-                Outcome::Done(v) => out.push(v),
-                Outcome::Poisoned(e) => return Err(e),
-                // A chunk is only skipped when a *lower-indexed* chunk
-                // recorded a failure, so an in-order scan always hits
-                // that Poisoned entry first. Surface a structured error
-                // anyway rather than trusting the invariant blindly.
-                Outcome::Skipped => {
-                    return Err(ChunkError {
-                        chunk_index: i,
-                        chunk_seed: chunk_seed(seed, i),
-                        payload: "chunk skipped without a recorded failure \
-                                  (scheduler invariant violated)"
-                            .to_string(),
-                    })
-                }
-            }
-        }
-        Ok(out)
+        self.map_items(seed, items, |i, item| {
+            // AssertUnwindSafe: a poisoned item contributes only its
+            // ChunkError; its partial state is never observed.
+            std::panic::catch_unwind(AssertUnwindSafe(|| f(item)))
+                .map_err(|p| chunk_error(seed, i, fault::payload_to_string(p.as_ref())))
+        })
     }
 
     /// Chunked map that writes results **directly into one preallocated
-    /// output buffer** instead of returning per-chunk `Vec`s for the
-    /// caller to concatenate — the zero-copy sibling of
-    /// [`Engine::try_par_chunk_map`] for kernels that produce a dense
-    /// `Vec<R>` of `total` items.
+    /// output buffer** of `total` items, initialized with `fill`.
     ///
     /// The item space `0..total` is cut into chunks of `chunk_size`
     /// (the last may be short), and chunks are handed to workers in
@@ -375,27 +313,37 @@ impl Engine {
     /// output slice covering items `c0 * chunk_size ..` for the whole
     /// unit. Batch kernels use `group > 1` to process several chunk
     /// streams in lockstep; `group == 1` degenerates to one chunk per
-    /// call. The output is always in logical item order — the unit
+    /// call, and `chunk_size == 1` makes chunk index equal item index.
+    /// The output is always in logical item order — the unit
     /// decomposition is invisible in the result, so the buffer is
     /// identical at every thread count and every `group`ing for a
-    /// per-chunk-deterministic `f`.
-    ///
-    /// Fault semantics match [`Engine::try_par_chunk_map`] at *chunk*
-    /// granularity even though scheduling is per unit: before a unit's
-    /// kernel runs, every chunk in the unit is checked against the
-    /// engine's fault plan in ascending order, so an injected fault reports
-    /// its exact `chunk_index` / [`chunk_seed`]. A genuine panic in `f`
-    /// cannot be attributed more precisely than the unit that raised it
-    /// and is deterministically reported against the unit's first chunk
-    /// `c0`. Once a failure at chunk `i` is recorded, units whose first
-    /// chunk lies above the current lowest failure are skipped; the
-    /// lowest-indexed failure wins, as before. (One corner is coarser
-    /// than the per-chunk API: a genuine panic in an *earlier* chunk of
-    /// the same unit as a *later* injected fault reports the injected
-    /// chunk, because injection checks run before the unit's kernel.)
-    ///
-    /// `fill` initializes the buffer; on success every item has been
+    /// per-chunk-deterministic `f`. On success every item has been
     /// overwritten by `f` (units cover `0..total` exactly).
+    ///
+    /// Every unit runs inside [`std::panic::catch_unwind`], so a
+    /// panicking unit *poisons* its chunk instead of unwinding through
+    /// the workers. Before a unit's kernel runs, every chunk in the unit
+    /// is checked against the engine's fault plan in ascending order, so
+    /// an injected fault reports its exact `chunk_index` /
+    /// [`chunk_seed`]. A genuine panic in `f` cannot be attributed more
+    /// precisely than the unit that raised it and is reported against
+    /// the unit's first chunk `c0`. (So a genuine panic in an *earlier*
+    /// chunk of the same unit as a *later* injected fault reports the
+    /// injected chunk.)
+    ///
+    /// The reported failure is the **lowest failing chunk**, which makes
+    /// the error thread-count invariant: whichever chunk happens to fail
+    /// *first in time*, the reported chunk is the same at
+    /// `FOCAL_THREADS=1` and `=64`. Once a failure is recorded, units
+    /// whose first chunk lies above the lowest failure so far are
+    /// skipped (their results could never be observed), while every
+    /// unit below it still runs, so a lower failure is never missed.
+    /// Worker threads always join; the engine is fully reusable after a
+    /// poisoned run.
+    ///
+    /// `seed` is threaded into the error for reproduction only (it is the
+    /// base the failing chunk's RNG seed is derived from); pass 0 for
+    /// non-randomized workloads.
     ///
     /// # Errors
     ///
@@ -414,128 +362,140 @@ impl Engine {
         R: Clone + Send,
         F: Fn(usize, &mut [R]) + Sync,
     {
-        enum Outcome {
-            Done,
-            Poisoned(ChunkError),
-            Skipped,
-        }
-
-        let chunk_size = chunk_size.max(1);
-        let group = group.max(1);
-        let n_chunks = chunk_count(total, chunk_size);
-        let unit_size = chunk_size * group;
-        let n_units = chunk_count(total, unit_size);
         let mut out = vec![fill; total];
-
-        let first_fail = AtomicUsize::new(usize::MAX);
-        // One mutable slice per unit, handed out exactly once. A Mutex per
-        // slot (taken once, never contended) lets disjoint &mut slices
-        // cross the Sync closure boundary without unsafe aliasing claims.
-        let slots: Vec<Mutex<Option<&mut [R]>>> = out
-            .chunks_mut(unit_size)
-            .map(|s| Mutex::new(Some(s)))
-            .collect();
-        let outcomes = self.schedule(n_units, &first_fail, |u| {
-            let c0 = u * group;
-            if c0 > first_fail.load(Ordering::Acquire) {
-                return Outcome::Skipped;
-            }
-            let c_end = (c0 + group).min(n_chunks);
-            // Ascending per-chunk injection check: exact chunk attribution.
-            for c in c0..c_end {
-                if let Some(payload) = self.injected_chunk_fault(c) {
-                    first_fail.fetch_min(c, Ordering::AcqRel);
-                    return Outcome::Poisoned(ChunkError {
-                        chunk_index: c,
-                        chunk_seed: chunk_seed(seed, c),
-                        payload,
-                    });
-                }
-            }
-            let slice = slots
-                .get(u)
-                .and_then(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take());
-            let Some(slice) = slice else {
-                // Unreachable (each unit is scheduled exactly once); report
-                // structurally rather than trusting the invariant blindly.
-                first_fail.fetch_min(c0, Ordering::AcqRel);
-                return Outcome::Poisoned(ChunkError {
-                    chunk_index: c0,
-                    chunk_seed: chunk_seed(seed, c0),
-                    payload: "output slot for unit already taken \
-                              (scheduler invariant violated)"
-                        .to_string(),
-                });
-            };
-            // AssertUnwindSafe: on unwind the whole output buffer is
-            // discarded and only the ChunkError escapes, so a partially
-            // written slice is never observed by the caller.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(c0, slice))) {
-                Ok(()) => Outcome::Done,
-                Err(p) => {
-                    first_fail.fetch_min(c0, Ordering::AcqRel);
-                    Outcome::Poisoned(ChunkError {
-                        chunk_index: c0,
-                        chunk_seed: chunk_seed(seed, c0),
-                        payload: fault::payload_to_string(p.as_ref()),
-                    })
-                }
-            }
-        });
-        drop(slots);
-
-        for (u, o) in outcomes.into_iter().enumerate() {
-            match o {
-                Outcome::Done => {}
-                Outcome::Poisoned(e) => return Err(e),
-                Outcome::Skipped => {
-                    let c0 = u * group;
-                    return Err(ChunkError {
-                        chunk_index: c0,
-                        chunk_seed: chunk_seed(seed, c0),
-                        payload: "unit skipped without a recorded failure \
-                                  (scheduler invariant violated)"
-                            .to_string(),
-                    });
-                }
-            }
-        }
+        self.fill_units(seed, &mut out, chunk_size, group, f)?;
         Ok(out)
     }
 
-    /// The scheduling core: evaluates `f` over `0..n_chunks` and returns
-    /// results in chunk-index order. `f` must not unwind (the public
-    /// entry points wrap it in per-chunk isolation first).
-    ///
-    /// Chunks run on the calling thread, in index order, until the call
-    /// has run for this engine's budget (checked every 1 to
-    /// [`CLOCK_STRIDE`] chunks). The chunks left then go to
-    /// `threads − 1` scoped helpers, with the caller working alongside
-    /// them. `first_fail` is the caller's lowest recorded failure
-    /// (`usize::MAX` while none): once a chunk has failed, every chunk
-    /// left would only report itself skipped, so they stay inline.
-    fn schedule<R, F>(&self, n_chunks: usize, first_fail: &AtomicUsize, f: F) -> Vec<R>
+    /// The item maps' shared body: `f(index, item)` for every item,
+    /// written chunk by chunk (geometry per [`PAR_MAP_CHUNKS`]) into one
+    /// slot per item.
+    fn map_items<T, R, F>(&self, seed: u64, items: &[T], f: F) -> Result<Vec<R>, ChunkError>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        let chunk_size = items.len().div_ceil(PAR_MAP_CHUNKS).max(1);
+        let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+        self.fill_units(seed, &mut slots, chunk_size, 1, |c, out| {
+            let lo = c * chunk_size;
+            let chunk = items.get(lo..).unwrap_or_default();
+            for ((i, item), slot) in (lo..).zip(chunk).zip(out) {
+                *slot = Some(f(i, item));
+            }
+        })?;
+        // Every unit ran and wrote all its slots; report a gap
+        // structurally rather than trusting that blindly.
+        slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| slot.ok_or(i))
+            .collect::<Result<Vec<R>, usize>>()
+            .map_err(|i| {
+                let payload = "item left unwritten (scheduler invariant violated)";
+                chunk_error(seed, i / chunk_size, payload.to_string())
+            })
+    }
+
+    /// The one fan-out core: cuts `out` into work units of `group` chunks
+    /// of `chunk_size` items and runs `f(c0, unit)` once per unit, where
+    /// `c0` is the unit's first chunk and `unit` its own slice of `out`,
+    /// under the isolation and lowest-failure rules documented on
+    /// [`Engine::try_par_chunk_map_into`]. The lowest failing chunk's
+    /// error is kept by a minimum, so nothing is collected or merged.
+    fn fill_units<R, F>(
+        &self,
+        seed: u64,
+        out: &mut [R],
+        chunk_size: usize,
+        group: usize,
+        f: F,
+    ) -> Result<(), ChunkError>
     where
         R: Send,
-        F: Fn(usize) -> R + Sync,
+        F: Fn(usize, &mut [R]) + Sync,
     {
-        // The packed scheduler indexes chunks with u32; workloads beyond
-        // 2^32 chunks are out of scope (that is ≥ 2^32 items) — fall back
+        let chunk_size = chunk_size.max(1);
+        let group = group.max(1);
+        let n_chunks = chunk_count(out.len(), chunk_size);
+        let first_fail = AtomicUsize::new(usize::MAX);
+        let error: Mutex<Option<ChunkError>> = Mutex::new(None);
+        let fail = |c: usize, payload: String| {
+            first_fail.fetch_min(c, Ordering::AcqRel);
+            let mut kept = error.lock().unwrap_or_else(PoisonError::into_inner);
+            if kept.as_ref().map_or(true, |e| c < e.chunk_index) {
+                *kept = Some(chunk_error(seed, c, payload));
+            }
+        };
+        let units = out.chunks_mut(chunk_size * group);
+        let broken = self.schedule(units, &first_fail, |u, unit| {
+            let c0 = u * group;
+            if c0 > first_fail.load(Ordering::Acquire) {
+                return;
+            }
+            // Ascending per-chunk injection check: exact chunk attribution.
+            let injected = (c0..(c0 + group).min(n_chunks))
+                .find_map(|c| Some((c, self.injected_chunk_fault(c)?)));
+            if let Some((c, payload)) = injected {
+                return fail(c, payload);
+            }
+            // AssertUnwindSafe: on unwind only the ChunkError escapes; the
+            // caller never sees the partly written buffer.
+            if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(|| f(c0, unit))) {
+                fail(c0, fault::payload_to_string(p.as_ref()));
+            }
+        });
+        if let Some(u) = broken {
+            let payload = "unit's output slice taken twice or never (scheduler invariant violated)";
+            fail(u * group, payload.to_string());
+        }
+        error
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map_or(Ok(()), Err)
+    }
+
+    /// The scheduler: runs `run(u, unit)` exactly once for each unit `u`
+    /// of `units`. `run` must not unwind ([`Engine::fill_units`] isolates
+    /// each unit first).
+    ///
+    /// Units run on the calling thread, in index order, until the call
+    /// has run for this engine's budget (checked every 1 to
+    /// [`CLOCK_STRIDE`] units). The units left then go to `threads − 1`
+    /// scoped helpers, with the caller working alongside them; each of
+    /// those slices waits behind its own lock, taken once. `first_fail`
+    /// is the caller's lowest recorded failure (`usize::MAX` while none):
+    /// once a unit has failed, every unit left would only be skipped, so
+    /// they stay inline. Returns the lowest unit whose slice was taken
+    /// twice or never, which a correct scheduler never does.
+    fn schedule<R, F>(
+        &self,
+        mut units: ChunksMut<'_, R>,
+        first_fail: &AtomicUsize,
+        run: F,
+    ) -> Option<usize>
+    where
+        R: Send,
+        F: Fn(usize, &mut [R]) + Sync,
+    {
+        let n_units = units.len();
+        // The packed scheduler indexes units with u32; workloads beyond
+        // 2^32 units are out of scope (that is ≥ 2^32 items) — fall back
         // to the serial path rather than mis-schedule.
-        if self.threads == 1 || n_chunks <= 1 || n_chunks > u32::MAX as usize {
-            return (0..n_chunks).map(f).collect();
+        if self.threads == 1 || n_units <= 1 || n_units > u32::MAX as usize {
+            units.enumerate().for_each(|(u, unit)| run(u, unit));
+            return None;
         }
 
-        // A clock read costs about as much as a small chunk, so the clock
-        // is read before chunk 0 and then after as many chunks as would
+        // A clock read costs about as much as a small unit, so the clock
+        // is read before unit 0 and then after as many units as would
         // fill half the budget left at the pace so far (1 to
-        // CLOCK_STRIDE): small chunks pay one read per CLOCK_STRIDE, and
-        // a fan-out passes the budget by about one chunk.
+        // CLOCK_STRIDE): small units pay one read per CLOCK_STRIDE, and
+        // a fan-out passes the budget by about one unit.
         let started = Instant::now();
-        let mut out = Vec::with_capacity(n_chunks);
-        let mut next_read = 0;
-        while out.len() < n_chunks {
-            let done = out.len();
+        let (mut done, mut next_read) = (0, 0);
+        while done < n_units {
             if done == next_read {
                 let spent = started.elapsed();
                 if spent < self.budget {
@@ -545,23 +505,29 @@ impl Engine {
                 } else if first_fail.load(Ordering::Acquire) == usize::MAX {
                     break;
                 } else {
-                    // A chunk failed: the rest are only skipped, here.
-                    next_read = n_chunks;
+                    // A unit failed: the rest are only skipped, here.
+                    next_read = n_units;
                 }
             }
-            out.push(f(done));
+            if let Some(unit) = units.next() {
+                run(done, unit);
+            }
+            done += 1;
         }
-        let done = out.len();
-        let workers = self.threads.min(n_chunks - done);
+        let workers = self.threads.min(n_units - done);
         if workers <= 1 {
-            out.extend((done..n_chunks).map(f));
-            return out;
+            (done..).zip(units).for_each(|(u, unit)| run(u, unit));
+            return None;
         }
 
-        let per = (n_chunks - done) / workers;
-        let extra = (n_chunks - done) % workers;
-        // Partition the remaining chunks into one contiguous range per
-        // worker (the first `extra` workers take one more chunk).
+        // One lock per remaining slice (taken once, never contended) lets
+        // disjoint `&mut` slices reach the helpers without unsafe
+        // aliasing claims.
+        let slots: Vec<Mutex<Option<&mut [R]>>> = units.map(|s| Mutex::new(Some(s))).collect();
+        let per = (n_units - done) / workers;
+        let extra = (n_units - done) % workers;
+        // Partition the remaining units into one contiguous range per
+        // worker (the first `extra` workers take one more unit).
         let mut start = done as u32;
         let queues: Vec<StealRange> = (0..workers)
             .map(|w| {
@@ -573,261 +539,61 @@ impl Engine {
             })
             .collect();
 
-        let work = |me: usize| {
-            let mut local: Vec<(u32, R)> = Vec::new();
-            loop {
-                // Drain our own range from the front…
-                if let Some(i) = queues.get(me).and_then(StealRange::pop_front) {
-                    local.push((i, f(i as usize)));
-                    continue;
-                }
-                // …then steal single chunks from the back of the most
-                // loaded victim. Queues never refill, so a fully empty
-                // scan means all work is done or in flight elsewhere.
-                let victim = queues
-                    .iter()
-                    .enumerate()
-                    .filter(|&(v, q)| v != me && q.len() > 0)
-                    .max_by_key(|&(_, q)| q.len())
-                    .map(|(v, _)| v);
-                match victim
-                    .and_then(|v| queues.get(v))
-                    .and_then(StealRange::steal_back)
-                {
-                    Some(i) => local.push((i, f(i as usize))),
-                    None => return local,
+        let broken = AtomicUsize::new(usize::MAX);
+        let claim = |u: u32| {
+            let u = u as usize;
+            let slot = u.checked_sub(done).and_then(|i| slots.get(i));
+            match slot.and_then(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take()) {
+                Some(unit) => run(u, unit),
+                None => {
+                    broken.fetch_min(u, Ordering::AcqRel);
                 }
             }
         };
-        let mut pairs = std::thread::scope(|scope| {
-            let work = &work;
-            let helpers: Vec<_> = (1..workers)
-                .map(|me| scope.spawn(move || work(me)))
-                .collect();
-            // The caller is worker 0 rather than idling until the join.
-            let mut pairs = work(0);
-            for helper in helpers {
-                match helper.join() {
-                    Ok(local) => pairs.extend(local),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
+        let work = |me: usize| loop {
+            // Drain our own range from the front…
+            if let Some(u) = queues.get(me).and_then(StealRange::pop_front) {
+                claim(u);
+                continue;
             }
-            pairs
+            // …then steal single units from the back of the most loaded
+            // victim. Queues never refill, so a fully empty scan means all
+            // work is done or in flight elsewhere.
+            let victim = queues
+                .iter()
+                .enumerate()
+                .filter(|&(v, q)| v != me && q.len() > 0)
+                .max_by_key(|&(_, q)| q.len())
+                .map(|(_, q)| q);
+            match victim.and_then(StealRange::steal_back) {
+                Some(u) => claim(u),
+                None => return,
+            }
+        };
+        std::thread::scope(|scope| {
+            let work = &work;
+            for me in 1..workers {
+                scope.spawn(move || work(me));
+            }
+            // The caller is worker 0 rather than idling until the join.
+            work(0);
         });
-        // Deterministic merge: chunk-index order, independent of which
-        // worker computed what when, appended after the inline prefix.
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        debug_assert!(
-            pairs.len() == n_chunks - done
-                && pairs
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &(c, _))| done + i == c as usize),
-            "scheduler must evaluate every chunk exactly once"
-        );
-        out.extend(pairs.into_iter().map(|(_, r)| r));
-        out
-    }
-
-    /// Maps `f` over `items`, preserving item order in the output.
-    ///
-    /// Chunk geometry is internal and derived from the item count **only**
-    /// (see [`PAR_MAP_CHUNKS`]): since `f` is applied per item and the
-    /// output is the in-order concatenation of the chunks, the result is
-    /// identical for every thread count by construction — and so is the
-    /// chunk index a failing item is reported under.
-    ///
-    /// Panics in `f` propagate like [`Engine::par_chunk_map`]: a single
-    /// resumed panic with a [`ChunkError`] payload naming the lowest
-    /// failing chunk.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        match self.try_par_map(0, items, f) {
-            Ok(v) => v,
-            Err(e) => std::panic::resume_unwind(Box::new(e)),
+        let unclaimed = slots
+            .iter()
+            .position(|s| s.lock().unwrap_or_else(PoisonError::into_inner).is_some());
+        if let Some(i) = unclaimed {
+            broken.fetch_min(done + i, Ordering::AcqRel);
         }
+        Some(broken.into_inner()).filter(|&u| u != usize::MAX)
     }
+}
 
-    /// Fallible [`Engine::par_map`]: isolates per-chunk panics and
-    /// injected faults exactly like [`Engine::try_par_chunk_map`]. The
-    /// chunk an item belongs to is `item_index / ceil(len / 64)`, fixed by
-    /// the item count alone, so a reported `chunk_index` identifies the
-    /// same slice of items at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ChunkError`] of the lowest failing chunk if `f`
-    /// panics for any item or the engine's fault plan targets a chunk.
-    pub fn try_par_map<T, R, F>(&self, seed: u64, items: &[T], f: F) -> Result<Vec<R>, ChunkError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let chunk_size = items.len().div_ceil(PAR_MAP_CHUNKS).max(1);
-        let n_chunks = chunk_count(items.len(), chunk_size);
-        let chunks: Vec<Vec<R>> = self.try_par_chunk_map(seed, n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            items
-                .get(lo..hi)
-                .unwrap_or_default()
-                .iter()
-                .map(&f)
-                .collect()
-        })?;
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        Ok(out)
-    }
-
-    /// [`Engine::try_par_map`] with **per-item** fault isolation: every
-    /// item runs inside its own [`std::panic::catch_unwind`], so a
-    /// panicking item poisons *only its own slot* instead of the whole
-    /// map. The serving layer uses this so one poisoned query in a
-    /// coalesced batch degrades only itself.
-    ///
-    /// The returned vector is in item order; a failing item's slot holds
-    /// a [`ChunkError`] whose `chunk_index` is the **item index** (and
-    /// whose seed is [`chunk_seed`]`(seed, item_index)`), which makes
-    /// per-item diagnostics thread-count invariant — the same item fails
-    /// with the same error at `FOCAL_THREADS=1` and `=64`. Chunk geometry
-    /// and merge order are those of [`Engine::try_par_map`].
-    ///
-    /// # Errors
-    ///
-    /// The outer `Result` fails only when the engine's
-    /// [`FaultPlan`] targets a chunk of this call (genuine
-    /// panics never escape the per-item isolation); the error names the
-    /// lowest injected chunk, exactly like [`Engine::try_par_chunk_map`].
-    pub fn try_par_map_isolated<T, R, F>(
-        &self,
-        seed: u64,
-        items: &[T],
-        f: F,
-    ) -> Result<Vec<Result<R, ChunkError>>, ChunkError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let chunk_size = items.len().div_ceil(PAR_MAP_CHUNKS).max(1);
-        let n_chunks = chunk_count(items.len(), chunk_size);
-        let chunks: Vec<Vec<Result<R, ChunkError>>> =
-            self.try_par_chunk_map(seed, n_chunks, |c| {
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(items.len());
-                items
-                    .get(lo..hi)
-                    .unwrap_or_default()
-                    .iter()
-                    .enumerate()
-                    .map(|(offset, item)| {
-                        // AssertUnwindSafe: a poisoned item contributes only
-                        // its ChunkError; its partial state is never observed.
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(
-                            |p| {
-                                let item_index = lo + offset;
-                                ChunkError {
-                                    chunk_index: item_index,
-                                    chunk_seed: chunk_seed(seed, item_index),
-                                    payload: fault::payload_to_string(p.as_ref()),
-                                }
-                            },
-                        )
-                    })
-                    .collect()
-            })?;
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        Ok(out)
-    }
-
-    /// Chunked deterministic reduction: folds each chunk of `chunk_size`
-    /// items with `fold` (starting from `init()`), then merges the chunk
-    /// accumulators **in chunk order** with `merge`.
-    ///
-    /// The reduction tree has the same shape at every thread count —
-    /// including one, where the chunk loop runs inline — so results are
-    /// bit-identical even for non-associative floating-point operations.
-    /// For associative `fold`/`merge` pairs the result equals the plain
-    /// serial fold (the engine's property tests pin this).
-    ///
-    /// `chunk_size` is part of the reduction's *semantics* (it fixes the
-    /// float evaluation order), which is why it is an explicit parameter
-    /// rather than a per-engine heuristic.
-    ///
-    /// Panics in `fold` propagate like [`Engine::par_chunk_map`]: a single
-    /// resumed panic with a [`ChunkError`] payload naming the lowest
-    /// failing chunk.
-    pub fn par_reduce<T, A, I, F, M>(
-        &self,
-        items: &[T],
-        chunk_size: usize,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> A
-    where
-        T: Sync,
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(A, &T) -> A + Sync,
-        M: Fn(A, A) -> A,
-    {
-        match self.try_par_reduce(0, items, chunk_size, init, fold, merge) {
-            Ok(a) => a,
-            Err(e) => std::panic::resume_unwind(Box::new(e)),
-        }
-    }
-
-    /// Fallible [`Engine::par_reduce`]: isolates per-chunk panics and
-    /// injected faults exactly like [`Engine::try_par_chunk_map`].
-    /// The merge phase runs on the calling thread only after every chunk
-    /// folded successfully.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ChunkError`] of the lowest failing chunk if `fold`
-    /// panics in any chunk or the engine's fault plan targets one.
-    pub fn try_par_reduce<T, A, I, F, M>(
-        &self,
-        seed: u64,
-        items: &[T],
-        chunk_size: usize,
-        init: I,
-        fold: F,
-        merge: M,
-    ) -> Result<A, ChunkError>
-    where
-        T: Sync,
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(A, &T) -> A + Sync,
-        M: Fn(A, A) -> A,
-    {
-        let chunk_size = chunk_size.max(1);
-        let n_chunks = chunk_count(items.len(), chunk_size);
-        let accs: Vec<A> = self.try_par_chunk_map(seed, n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            items
-                .get(lo..hi)
-                .unwrap_or_default()
-                .iter()
-                .fold(init(), &fold)
-        })?;
-        let mut accs = accs.into_iter();
-        let first = accs.next().unwrap_or_else(&init);
-        Ok(accs.fold(first, merge))
+/// The [`ChunkError`] of chunk `chunk` in a fan-out seeded with `seed`.
+fn chunk_error(seed: u64, chunk: usize, payload: String) -> ChunkError {
+    ChunkError {
+        chunk_index: chunk,
+        chunk_seed: chunk_seed(seed, chunk),
+        payload,
     }
 }
 
@@ -842,7 +608,8 @@ impl Default for Engine {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::Arc;
 
     /// `e` with a zero budget: every fan-out of more than one chunk goes
     /// straight to the helper path.
@@ -858,6 +625,21 @@ mod tests {
     fn engines(threads: usize) -> [Engine; 2] {
         let e = Engine::with_threads(threads);
         [e, eager(e)]
+    }
+
+    /// `f(0), …, f(n − 1)` through [`Engine::try_par_chunk_map_into`] as
+    /// `n` one-item chunks, so chunk index and item index coincide.
+    fn chunk_map<R: Clone + Send>(
+        e: Engine,
+        seed: u64,
+        n: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Result<Vec<R>, ChunkError> {
+        let slots = e.try_par_chunk_map_into(seed, n, 1, 1, None, |c, out| out.fill(Some(f(c))))?;
+        Ok(slots
+            .into_iter()
+            .map(|s| s.expect("every chunk wrote its item"))
+            .collect())
     }
 
     #[test]
@@ -906,7 +688,7 @@ mod tests {
     fn par_chunk_map_returns_chunk_order() {
         for threads in [1, 2, 3, 8] {
             for e in engines(threads) {
-                let got = e.par_chunk_map(23, |c| c * 10);
+                let got = chunk_map(e, 0, 23, |c| c * 10).unwrap();
                 let want: Vec<usize> = (0..23).map(|c| c * 10).collect();
                 assert_eq!(got, want, "{e:?}");
             }
@@ -917,9 +699,10 @@ mod tests {
     fn par_chunk_map_runs_every_chunk_exactly_once() {
         for e in engines(5) {
             let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
-            e.par_chunk_map(97, |c| {
+            chunk_map(e, 0, 97, |c| {
                 hits[c].fetch_add(1, Ordering::Relaxed);
-            });
+            })
+            .unwrap();
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{e:?}");
         }
     }
@@ -930,7 +713,11 @@ mod tests {
         let want: Vec<i64> = items.iter().map(|x| x * 3 - 1).collect();
         for threads in [1, 2, 7, 16] {
             for e in engines(threads) {
-                assert_eq!(e.par_map(&items, |x| x * 3 - 1), want, "{e:?}");
+                assert_eq!(
+                    e.try_par_map(0, &items, |x| x * 3 - 1).unwrap(),
+                    want,
+                    "{e:?}"
+                );
             }
         }
     }
@@ -938,43 +725,11 @@ mod tests {
     #[test]
     fn par_map_handles_empty_and_tiny_inputs() {
         for e in engines(4) {
-            assert_eq!(e.par_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
-            assert_eq!(e.par_map(&[9u8], |&x| x + 1), vec![10]);
-        }
-    }
-
-    #[test]
-    fn par_reduce_merges_in_chunk_order() {
-        // String concatenation is associative but *not* commutative, so
-        // any out-of-order merge scrambles the result.
-        let items: Vec<String> = (0..50).map(|i| format!("{i},")).collect();
-        let want: String = items.concat();
-        for threads in [1, 2, 7] {
-            for e in engines(threads) {
-                let got = e.par_reduce(&items, 4, String::new, |acc, s| acc + s, |a, b| a + &b);
-                assert_eq!(got, want, "{e:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_reduce_float_sums_are_bit_identical_across_threads() {
-        let items: Vec<f64> = (0..10_001).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let reduce =
-            |e: Engine| e.par_reduce(&items, 128, || 0.0f64, |acc, &x| acc + x, |a, b| a + b);
-        let t1 = reduce(Engine::serial());
-        for threads in [2, 3, 7, 13] {
-            for e in engines(threads) {
-                assert_eq!(t1.to_bits(), reduce(e).to_bits(), "{e:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_reduce_of_empty_input_is_init() {
-        for e in engines(3) {
-            let got = e.par_reduce(&[] as &[u64], 8, || 17u64, |acc, &x| acc + x, |a, b| a + b);
-            assert_eq!(got, 17, "{e:?}");
+            assert_eq!(
+                e.try_par_map(0, &[] as &[u8], |&x| x).unwrap(),
+                Vec::<u8>::new()
+            );
+            assert_eq!(e.try_par_map(0, &[9u8], |&x| x + 1).unwrap(), vec![10]);
         }
     }
 
@@ -996,7 +751,7 @@ mod tests {
                     .map(|s| (*s).to_string())
                     .or_else(|| info.payload().downcast_ref::<String>().cloned())
                     .unwrap_or_default();
-                if !msg.contains(POISON) {
+                if !msg.contains(POISON) && !info.payload().is::<FailedSignal>() {
                     default(info);
                 }
             }));
@@ -1010,14 +765,13 @@ mod tests {
         let mut reference: Option<ChunkError> = None;
         for threads in [1, 2, 7, 16] {
             for e in engines(threads) {
-                let err = e
-                    .try_par_chunk_map(100, 23, |c| {
-                        if failing.contains(&c) {
-                            panic!("{POISON} chunk {c}");
-                        }
-                        c
-                    })
-                    .unwrap_err();
+                let err = chunk_map(e, 100, 23, |c| {
+                    if failing.contains(&c) {
+                        panic!("{POISON} chunk {c}");
+                    }
+                    c
+                })
+                .unwrap_err();
                 assert_eq!(err.chunk_index, 3, "{e:?}");
                 assert_eq!(err.chunk_seed, chunk_seed(100, 3), "{e:?}");
                 assert!(err.payload.contains(POISON), "{e:?}");
@@ -1034,40 +788,18 @@ mod tests {
         quiet_deliberate_panics();
         for e in engines(4) {
             for round in 0..3 {
-                let err = e
-                    .try_par_chunk_map(0, 16, |c| {
-                        if c == 5 {
-                            panic!("{POISON} round {round}");
-                        }
-                        c * 2
-                    })
-                    .unwrap_err();
+                let err = chunk_map(e, 0, 16, |c| {
+                    if c == 5 {
+                        panic!("{POISON} round {round}");
+                    }
+                    c * 2
+                })
+                .unwrap_err();
                 assert_eq!(err.chunk_index, 5, "{e:?}");
                 // The very same engine still computes clean runs correctly.
-                let ok = e.par_chunk_map(16, |c| c * 2);
+                let ok = chunk_map(e, 0, 16, |c| c * 2).unwrap();
                 assert_eq!(ok, (0..16).map(|c| c * 2).collect::<Vec<_>>(), "{e:?}");
             }
-        }
-    }
-
-    #[test]
-    fn infallible_ops_resume_with_a_downcastable_chunk_error() {
-        quiet_deliberate_panics();
-        for e in engines(3) {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                e.par_chunk_map(10, |c| {
-                    if c == 7 {
-                        panic!("{POISON} deep");
-                    }
-                    c
-                })
-            }))
-            .unwrap_err();
-            let err = caught
-                .downcast_ref::<ChunkError>()
-                .expect("payload should be the structured ChunkError");
-            assert_eq!(err.chunk_index, 7, "{e:?}");
-            assert_eq!(err.chunk_seed, chunk_seed(0, 7), "{e:?}");
         }
     }
 
@@ -1147,34 +879,6 @@ mod tests {
                     .map(|r| r.unwrap())
                     .collect();
                 assert_eq!(got, want, "{e:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn try_par_reduce_isolates_fold_panics() {
-        quiet_deliberate_panics();
-        let items: Vec<u64> = (0..100).collect();
-        for threads in [1, 2, 7] {
-            for e in engines(threads) {
-                let err = e
-                    .try_par_reduce(
-                        9,
-                        &items,
-                        8,
-                        || 0u64,
-                        |acc, &x| {
-                            if x == 42 {
-                                panic!("{POISON} fold");
-                            }
-                            acc + x
-                        },
-                        |a, b| a + b,
-                    )
-                    .unwrap_err();
-                // Item 42 lives in chunk 42 / 8 = 5.
-                assert_eq!(err.chunk_index, 5, "{e:?}");
-                assert_eq!(err.chunk_seed, chunk_seed(9, 5), "{e:?}");
             }
         }
     }
@@ -1289,14 +993,14 @@ mod tests {
     fn injected_chunk_faults_surface_as_chunk_errors() {
         let engine = faulted(3, "panic@unit-test:4", "unit-test");
         for engine in [engine, eager(engine)] {
-            let err = engine.try_par_chunk_map(7, 10, |c| c).unwrap_err();
+            let err = chunk_map(engine, 7, 10, |c| c).unwrap_err();
             assert_eq!(err.chunk_index, 4, "{engine:?}");
             assert_eq!(err.chunk_seed, chunk_seed(7, 4), "{engine:?}");
             assert!(err.payload.contains("injected fault: panic@unit-test:4"));
             // The plan fires only at its own site and only on the engine
             // that carries it.
             for other in [engine.at_site("other"), engine.with_faults(None)] {
-                assert!(other.try_par_chunk_map(7, 10, |c| c).is_ok(), "{other:?}");
+                assert!(chunk_map(other, 7, 10, |c| c).is_ok(), "{other:?}");
             }
         }
     }
@@ -1308,7 +1012,7 @@ mod tests {
             ..Engine::with_threads(4)
         };
         let me = std::thread::current().id();
-        let ran = e.par_chunk_map(100, |_| std::thread::current().id());
+        let ran = chunk_map(e, 0, 100, |_| std::thread::current().id()).unwrap();
         assert!(ran.iter().all(|&t| t == me));
     }
 
@@ -1318,7 +1022,7 @@ mod tests {
         // so the three run at once: chunk 0 heads the caller's own range,
         // and each helper is busy with its own chunk until then.
         let started = AtomicUsize::new(0);
-        let ran = eager(Engine::with_threads(3)).par_chunk_map(3, |_| {
+        let ran = chunk_map(eager(Engine::with_threads(3)), 0, 3, |_| {
             started.fetch_add(1, Ordering::AcqRel);
             let waiting = Instant::now();
             while started.load(Ordering::Acquire) < 3 && waiting.elapsed() < Duration::from_secs(10)
@@ -1326,7 +1030,8 @@ mod tests {
                 std::hint::spin_loop();
             }
             std::thread::current().id()
-        });
+        })
+        .unwrap();
         assert_eq!(ran[0], std::thread::current().id());
         assert!(
             ran[1] != ran[0] && ran[2] != ran[0] && ran[1] != ran[2],
@@ -1340,22 +1045,65 @@ mod tests {
         // left would only be skipped, so no helper is spawned for them.
         let failed = AtomicUsize::new(0);
         let me = std::thread::current().id();
-        let ran = eager(Engine::with_threads(4))
-            .schedule(50, &failed, |c| (c, std::thread::current().id()));
-        assert_eq!(ran.len(), 50);
-        assert!(ran.iter().enumerate().all(|(i, &(c, t))| i == c && t == me));
+        let mut ran = vec![None; 50];
+        let broken = eager(Engine::with_threads(4)).schedule(ran.chunks_mut(1), &failed, |c, s| {
+            s.fill(Some((c, std::thread::current().id())));
+        });
+        assert_eq!(broken, None);
+        assert!(ran.iter().enumerate().all(|(i, &r)| r == Some((i, me))));
+    }
+
+    /// A panic payload that raises its flag when dropped: the engine
+    /// drops a caught payload once it has recorded that failure.
+    struct FailedSignal(Arc<AtomicBool>);
+
+    impl Drop for FailedSignal {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    #[test]
+    fn a_lower_failure_replaces_a_higher_one_recorded_first() {
+        quiet_deliberate_panics();
+        // Past a zero budget, chunk 0 heads the caller's range and chunk 1
+        // the helper's. Chunk 1 fails first; chunk 0 waits (up to a
+        // timeout) until that failure is recorded, then fails too.
+        let e = eager(Engine::with_threads(2));
+        let failed = Arc::new(AtomicBool::new(false));
+        let err = e
+            .try_par_chunk_map_into(3, 2, 1, 1, 0usize, |c, _| {
+                if c == 1 {
+                    std::panic::panic_any(FailedSignal(Arc::clone(&failed)));
+                }
+                let waiting = Instant::now();
+                while !failed.load(Ordering::Acquire) && waiting.elapsed() < Duration::from_secs(10)
+                {
+                    std::hint::spin_loop();
+                }
+                panic!("{POISON} chunk {c}");
+            })
+            .unwrap_err();
+        assert!(failed.load(Ordering::Acquire), "chunk 1 never failed");
+        assert_eq!(err.chunk_index, 0);
+        assert_eq!(err.chunk_seed, chunk_seed(3, 0));
+        assert!(err.payload.contains(POISON), "{err}");
     }
 
     proptest! {
-        /// Whatever the budget and the worker count, and wherever a failing
-        /// chunk falls — in the inline prefix or in the helpers' remainder
-        /// — a fan-out returns exactly what the serial engine returns, and
-        /// runs each chunk up to the lowest failure exactly once.
+        /// Whatever the budget, the worker count and the unit shape, and
+        /// wherever a failing unit falls — in the inline prefix or in the
+        /// helpers' remainder — a fan-out returns exactly what the serial
+        /// engine returns, and runs each unit up to the lowest failure
+        /// exactly once.
         #[test]
         fn every_budget_and_split_matches_the_serial_run(
             budget_pick in 0usize..3,
             threads_pick in 0usize..4,
             n_chunks in 0usize..=200,
+            chunk_size in 1usize..=5,
+            short_tail in 0usize..5,
+            group in 1usize..=8,
             split_frac in 0.0f64..=1.0,
             fail_pick in 0usize..3,
             fail_frac in 0.0f64..1.0,
@@ -1363,42 +1111,48 @@ mod tests {
             quiet_deliberate_panics();
             let budget = [Duration::ZERO, Duration::from_micros(20), Duration::MAX][budget_pick];
             let threads = [1, 2, 3, 7][threads_pick];
-            // Chunks below `split` run inline: the chunk before it spins
-            // past the budget (the other chunks are far quicker than it),
+            // `n_chunks` chunks, the last one possibly short.
+            let total = (n_chunks * chunk_size).saturating_sub(short_tail % chunk_size);
+            let n_units = chunk_count(n_chunks, group);
+            // Units below `split` run inline: the unit before it spins
+            // past the budget (the other units are far quicker than it),
             // so the split falls at the first clock read after it.
             let split = match budget_pick {
                 0 => 0,
-                1 => (split_frac * n_chunks as f64) as usize,
-                _ => n_chunks,
+                1 => (split_frac * n_units as f64) as usize,
+                _ => n_units,
             };
             let pick = |lo: usize, hi: usize| lo + (fail_frac * (hi - lo) as f64) as usize;
             let failing = match fail_pick {
                 1 if split > 0 => Some(pick(0, split)),
-                2 if split < n_chunks => Some(pick(split, n_chunks)),
+                2 if split < n_units => Some(pick(split, n_units)),
                 _ => None,
             };
-            let runs: Vec<AtomicUsize> = (0..n_chunks).map(|_| AtomicUsize::new(0)).collect();
-            let chunk = |c: usize| {
-                runs[c].fetch_add(1, Ordering::Relaxed);
-                if c + 1 == split && budget_pick == 1 {
+            let runs: Vec<AtomicUsize> = (0..n_units).map(|_| AtomicUsize::new(0)).collect();
+            let unit = |c0: usize, s: &mut [usize]| {
+                let u = c0 / group;
+                runs[u].fetch_add(1, Ordering::Relaxed);
+                if u + 1 == split && budget_pick == 1 {
                     let spun = Instant::now();
                     while spun.elapsed() <= budget {
                         std::hint::spin_loop();
                     }
                 }
-                if Some(c) == failing {
-                    panic!("{POISON} chunk {c}");
+                if Some(u) == failing {
+                    panic!("{POISON} unit {u}");
                 }
-                c * 3 + 1
+                fill_unit(chunk_size, c0, s);
             };
             let e = Engine {
                 budget,
                 ..Engine::with_threads(threads)
             };
-            let got = e.try_par_chunk_map(11, n_chunks, chunk);
+            let got = e.try_par_chunk_map_into(11, total, chunk_size, group, usize::MAX, unit);
             let counts: Vec<usize> = runs.iter().map(|r| r.swap(0, Ordering::Relaxed)).collect();
-            prop_assert_eq!(got, Engine::serial().try_par_chunk_map(11, n_chunks, chunk));
-            let must_run = failing.map_or(n_chunks, |f| f + 1);
+            let want =
+                Engine::serial().try_par_chunk_map_into(11, total, chunk_size, group, usize::MAX, unit);
+            prop_assert_eq!(got, want);
+            let must_run = failing.map_or(n_units, |f| f + 1);
             prop_assert!(counts.iter().take(must_run).all(|&n| n == 1), "{counts:?}");
             prop_assert!(counts.iter().all(|&n| n <= 1), "{counts:?}");
         }

@@ -48,11 +48,11 @@ proptest! {
         quiet_deliberate_panics();
         let failing = [fail_a % n_chunks, fail_b % n_chunks];
         let run = |threads: usize| -> Result<Vec<usize>, ChunkError> {
-            Engine::with_threads(threads).try_par_chunk_map(seed, n_chunks, |c| {
+            Engine::with_threads(threads).try_par_chunk_map_into(seed, n_chunks, 1, 1, 0, |c, out| {
                 if failing.contains(&c) {
                     panic!("{POISON} chunk {c}");
                 }
-                c
+                out.fill(c);
             })
         };
         let expected_chunk = *failing.iter().min().expect("non-empty");
@@ -79,15 +79,17 @@ proptest! {
         let failing = failing % n_chunks;
         let engine = Engine::with_threads(threads);
         let err = engine
-            .try_par_chunk_map(3, n_chunks, |c| {
+            .try_par_chunk_map_into(3, n_chunks, 1, 1, 0, |c, out| {
                 if c == failing {
                     panic!("{POISON}");
                 }
-                c
+                out.fill(c);
             })
             .expect_err("chunk always fails");
         prop_assert_eq!(err.chunk_index, failing);
-        let clean = engine.try_par_chunk_map(3, n_chunks, |c| c).expect("clean run");
+        let clean = engine
+            .try_par_chunk_map_into(3, n_chunks, 1, 1, 0, |c, out| out.fill(c))
+            .expect("clean run");
         let expected: Vec<usize> = (0..n_chunks).collect();
         prop_assert_eq!(clean, expected);
     }

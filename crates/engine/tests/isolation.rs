@@ -21,7 +21,7 @@ fn concurrent_engines_never_see_each_others_fault_plan() {
         let faulted_run = scope.spawn(move || {
             for i in 0..ITERATIONS {
                 let err = faulted
-                    .try_par_chunk_map(i, 16, |c| c)
+                    .try_par_chunk_map_into(i, 16, 1, 1, 0, |c, out| out.fill(c))
                     .expect_err("chunk 4 carries an injected panic");
                 assert_eq!(err.chunk_index, 4, "iteration {i}");
                 assert!(err.payload.contains("panic@race:4"), "{err}");
@@ -30,7 +30,7 @@ fn concurrent_engines_never_see_each_others_fault_plan() {
         let clean_run = scope.spawn(move || {
             for i in 0..ITERATIONS {
                 let chunks = clean
-                    .try_par_chunk_map(i, 16, |c| c)
+                    .try_par_chunk_map_into(i, 16, 1, 1, 0, |c, out| out.fill(c))
                     .unwrap_or_else(|e| panic!("clean engine failed at iteration {i}: {e}"));
                 assert_eq!(chunks, (0..16).collect::<Vec<usize>>());
             }

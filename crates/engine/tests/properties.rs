@@ -1,14 +1,13 @@
 //! Property tests for the engine's scheduling invariants: whatever the
 //! item count, chunk size and thread count, every item is processed
-//! exactly once and in order, and the chunked reduction tree gives the
-//! same answer as a plain serial fold for associative operations.
+//! exactly once and in order.
 
 use focal_engine::{chunk_count, chunk_seed, Engine};
 use proptest::prelude::*;
 
 proptest! {
-    /// `par_map` is the identity on indices: no item is lost, duplicated
-    /// or reordered at any thread count.
+    /// `try_par_map` is the identity on indices: no item is lost,
+    /// duplicated or reordered at any thread count.
     #[test]
     fn par_map_never_loses_or_duplicates_items(
         n in 0usize..2000,
@@ -16,43 +15,24 @@ proptest! {
     ) {
         let items: Vec<usize> = (0..n).collect();
         let engine = Engine::with_threads(threads);
-        let mapped = engine.par_map(&items, |&x| x);
+        let mapped = engine.try_par_map(0, &items, |&x| x).expect("nothing fails");
         prop_assert_eq!(mapped, items);
     }
 
-    /// `par_chunk_map` visits each chunk index exactly once and returns
-    /// results in chunk order, for arbitrary chunk counts and threads.
+    /// One-item chunks through `try_par_chunk_map_into` visit each chunk
+    /// index exactly once and land in chunk order, for arbitrary chunk
+    /// counts and threads.
     #[test]
     fn par_chunk_map_covers_each_chunk_exactly_once(
         n_chunks in 0usize..300,
         threads in 1usize..12,
     ) {
         let engine = Engine::with_threads(threads);
-        let visited = engine.par_chunk_map(n_chunks, |c| c);
+        let visited = engine
+            .try_par_chunk_map_into(0, n_chunks, 1, 1, usize::MAX, |c, out| out.fill(c))
+            .expect("nothing fails");
         let expected: Vec<usize> = (0..n_chunks).collect();
         prop_assert_eq!(visited, expected);
-    }
-
-    /// `par_reduce` over an associative, commutative op (integer sum)
-    /// equals the plain serial fold, for arbitrary item counts, chunk
-    /// sizes (including 0, which the engine clamps to 1) and threads.
-    #[test]
-    fn par_reduce_matches_serial_fold_for_associative_ops(
-        n in 0u64..2000,
-        chunk_size in 0usize..130,
-        threads in 1usize..12,
-    ) {
-        let items: Vec<u64> = (0..n).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let serial: u64 = items.iter().fold(0, |acc, &x| acc.wrapping_add(x));
-        let engine = Engine::with_threads(threads);
-        let parallel = engine.par_reduce(
-            &items,
-            chunk_size,
-            || 0u64,
-            |acc, &x| acc.wrapping_add(x),
-            |a, b| a.wrapping_add(b),
-        );
-        prop_assert_eq!(parallel, serial);
     }
 
     /// Chunk geometry is a pure function of item count and chunk size:

@@ -57,9 +57,10 @@ pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
             message: format!(
                 "{primitive} outside `crates/engine`: concurrency is confined to the engine"
             ),
-            help: "run parallel work through `focal_engine::Engine` (par_map/par_reduce keep \
-                   results chunk-order deterministic); if this primitive is genuinely needed, \
-                   justify with `// focal-lint: allow(concurrency-confinement) -- <reason>`"
+            help: "run parallel work through `focal_engine::Engine` (try_par_map and \
+                   try_par_chunk_map_into keep results chunk-order deterministic); if this \
+                   primitive is genuinely needed, justify with \
+                   `// focal-lint: allow(concurrency-confinement) -- <reason>`"
                 .into(),
         });
     }

@@ -2,9 +2,10 @@
 //!
 //! Float addition is not associative, so the merge order of a parallel
 //! reduction is part of the result. focal-engine's operations
-//! (`par_map`, `par_reduce`, …) are blessed: they merge chunk results in
-//! chunk order regardless of scheduling, which is what makes the suite
-//! byte-identical at any thread count. A *different* parallel operation
+//! (`try_par_map`, `try_par_chunk_map_into`, …) are blessed: each chunk
+//! writes its own slot of one output in chunk order regardless of
+//! scheduling, which is what makes the suite byte-identical at any
+//! thread count. A *different* parallel operation
 //! that sums or folds floats inside its arguments has no such guarantee,
 //! so this rule flags float `sum`/`product` (with a float turbofish) and
 //! float-literal-seeded `fold`s inside the argument span of any
@@ -20,15 +21,11 @@ use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
 use crate::symbols::{matching_paren, SymbolTable};
 
-/// focal-engine's chunk-order-merged operations.
+/// focal-engine's fan-out operations, whose chunks land in chunk order.
 const BLESSED_ENGINE_API: &[&str] = &[
-    "par_map",
     "try_par_map",
     "try_par_map_isolated",
-    "par_chunk_map",
-    "try_par_chunk_map",
-    "par_reduce",
-    "try_par_reduce",
+    "try_par_chunk_map_into",
 ];
 
 fn is_parallel_name(name: &str) -> bool {
@@ -122,9 +119,10 @@ pub fn check(files: &[SourceFile], table: &SymbolTable) -> Vec<Diagnostic> {
                      chunk-order-merged focal-engine operation",
                     call.callee
                 ),
-                help: "route the reduction through `Engine::par_reduce`/`par_map` (chunk-order \
-                       merge makes float sums schedule-independent), or reduce serially over \
-                       the collected chunk results"
+                help: "compute per-chunk results with `Engine::try_par_map` or \
+                       `try_par_chunk_map_into` (each chunk lands in its own slot, in chunk \
+                       order) and reduce them serially afterwards, so float sums are \
+                       schedule-independent"
                     .into(),
             });
         }
@@ -168,10 +166,24 @@ mod tests {
 
     #[test]
     fn engine_api_names_are_blessed_when_unresolved() {
-        // `e.par_reduce(…)` is a method on the engine handle — it cannot
+        // `e.try_par_map(…)` is a method on the engine handle — it cannot
         // resolve at token level, but the name is the blessed API.
-        let src = "fn f(e: &Engine, xs: &[f64]) -> f64 { e.par_reduce(xs, |c| c.iter().sum::<f64>(), 0.0, |a, b| a + b) }\n";
+        let src = "fn f(e: &Engine, xs: &[Vec<f64>]) -> Vec<f64> { e.try_par_map(0, xs, |c| c.iter().sum::<f64>()).unwrap_or_default() }\n";
         assert!(findings(&[("crates/studies/src/x.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn a_float_sum_inside_try_par_chunk_map_into_is_blessed() {
+        let src = "fn f(e: &Engine, xs: &[f64]) -> Vec<f64> { e.try_par_chunk_map_into(0, 4, 1, 1, 0.0, |c, out| out.fill(xs.iter().take(c).sum::<f64>())).unwrap_or_default() }\n";
+        assert!(findings(&[("crates/studies/src/x.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn removed_engine_names_are_no_longer_blessed() {
+        let src = "fn f(e: &Engine, xs: &[f64]) -> f64 { e.par_reduce(xs, |c| c.iter().sum::<f64>(), 0.0, |a, b| a + b) }\n";
+        let d = findings(&[("crates/studies/src/x.rs", src)]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("par_reduce"));
     }
 
     #[test]

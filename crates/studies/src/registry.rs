@@ -176,16 +176,19 @@ pub fn all_figures() -> Result<Vec<Figure>> {
 
 /// [`all_figures`] on an explicit [`Engine`].
 ///
-/// Every builder is a pure function and `par_map` preserves builder
+/// Every builder is a pure function and `try_par_map` preserves builder
 /// order, so the output — down to the CSV bytes — is identical at every
 /// thread count (pinned by `tests/engine_determinism.rs`).
 ///
 /// # Errors
 ///
-/// Never fails for the paper's built-in configurations.
+/// Never fails for the paper's built-in configurations. A panicking
+/// builder, or a fault plan on `engine` that targets one, returns
+/// [`ModelError::ChunkPoisoned`](focal_core::ModelError::ChunkPoisoned)
+/// naming the lowest failing chunk.
 pub fn all_figures_on(engine: &Engine) -> Result<Vec<Figure>> {
     engine
-        .par_map(&FIGURE_BUILDERS, |build| build())
+        .try_par_map(0, &FIGURE_BUILDERS, |build| build())?
         .into_iter()
         .collect()
 }
@@ -205,10 +208,11 @@ pub fn all_findings() -> Result<Vec<Finding>> {
 ///
 /// # Errors
 ///
-/// Never fails for the paper's built-in configurations.
+/// Never fails for the paper's built-in configurations; failures are
+/// reported as in [`all_figures_on`].
 pub fn all_findings_on(engine: &Engine) -> Result<Vec<Finding>> {
     engine
-        .par_map(&FINDING_BUILDERS, |build| build())
+        .try_par_map(0, &FINDING_BUILDERS, |build| build())?
         .into_iter()
         .collect()
 }
@@ -216,6 +220,27 @@ pub fn all_findings_on(engine: &Engine) -> Result<Vec<Finding>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_poisoned_figure_chunk_is_returned_as_an_error() {
+        let plan = focal_engine::FaultPlan::parse("panic@figures:3")
+            .unwrap()
+            .leak();
+        for threads in [1, 2, 7] {
+            let engine = Engine::with_threads(threads)
+                .with_faults(Some(plan))
+                .at_site("figures");
+            let err = all_figures_on(&engine).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    focal_core::ModelError::ChunkPoisoned { chunk_index: 3, payload, .. }
+                        if payload.contains("panic@figures:3")
+                ),
+                "threads={threads}: {err}"
+            );
+        }
+    }
 
     #[test]
     fn every_figure_regenerates() {

@@ -112,9 +112,10 @@ fn crossover_batches_are_identical_across_thread_counts() {
         })
         .collect();
     for scenario in [Scenario::FixedWork, Scenario::FixedTime] {
-        let serial = alpha_crossover_batch(&Engine::serial(), &pairs, scenario, None);
+        let serial = alpha_crossover_batch(&Engine::serial(), &pairs, scenario, None).unwrap();
         for threads in THREAD_COUNTS {
-            let par = alpha_crossover_batch(&Engine::with_threads(threads), &pairs, scenario, None);
+            let par = alpha_crossover_batch(&Engine::with_threads(threads), &pairs, scenario, None)
+                .unwrap();
             assert_eq!(serial, par, "{scenario:?}, {threads} threads");
         }
     }
