@@ -1,54 +1,15 @@
 //! α-sweep ablation: how stable each finding's classification verdict is
 //! across the full α_E2O ∈ [0, 1] range (the paper's §3.5 robustness
-//! argument, quantified).
+//! argument, quantified), over the suite's regime-sensitive mechanism
+//! pairs.
 
-use focal_core::{classify_over_range, DesignPoint, E2oRange};
+use focal_bench::suite::ablation_mechanisms;
+use focal_core::{classify_over_range, E2oRange};
 use focal_report::Table;
 
 fn main() -> focal_core::Result<()> {
-    let reference = DesignPoint::reference();
-    let mechanisms: Vec<(&str, DesignPoint, DesignPoint)> = vec![
-        (
-            "FSC vs OoO (§5.6)",
-            focal_uarch::CoreMicroarch::ForwardSlice.design_point()?,
-            focal_uarch::CoreMicroarch::OutOfOrder.design_point()?,
-        ),
-        (
-            "OoO vs InO (§5.6)",
-            focal_uarch::CoreMicroarch::OutOfOrder.design_point()?,
-            focal_uarch::CoreMicroarch::InOrder.design_point()?,
-        ),
-        (
-            "PRE vs baseline (§5.7)",
-            focal_uarch::PreciseRunahead::PAPER.design_point()?,
-            reference,
-        ),
-        (
-            "pipeline gating (§5.9)",
-            focal_uarch::PipelineGating::PAPER.design_point()?,
-            reference,
-        ),
-        (
-            "accelerator @30% use (§5.3)",
-            focal_uarch::Accelerator::HAMEED_H264.design_point(0.3)?,
-            reference,
-        ),
-        (
-            "dark silicon @30% use (§5.4)",
-            focal_uarch::DarkSiliconSoc::PAPER.design_point(0.3)?,
-            reference,
-        ),
-        (
-            "die shrink, post-Dennard (§6)",
-            focal_scaling::DieShrink::next_node(focal_scaling::ScalingRegime::PostDennard)
-                .design_points()?
-                .0,
-            reference,
-        ),
-    ];
-
     let mut table = Table::new(vec!["mechanism", "verdict at α grid", "stable?"]);
-    for (name, x, y) in &mechanisms {
+    for (name, x, y) in &ablation_mechanisms()? {
         let robust = classify_over_range(x, y, E2oRange::FULL, 101)?;
         table.row(vec![
             (*name).to_string(),

@@ -20,11 +20,14 @@
 use focal_bench::micro::{to_bench_json, BenchRecord, Measurement, MicroBench};
 use focal_bench::suite::{run_suite, DEFECT_SIM_DENSITY, DEFECT_SIM_SEED};
 use focal_core::{
-    mc_kernel_isa, DesignPoint, E2oRange, MonteCarloNcf, Scenario, SweepMemo, MC_CHUNK_SAMPLES,
-    MC_GROUP_CHUNKS,
+    mc_kernel_isa, DesignPoint, E2oRange, E2oWeight, MonteCarloNcf, Ncf, Scenario, SiliconArea,
+    SweepMemo, MC_CHUNK_SAMPLES, MC_GROUP_CHUNKS,
 };
 use focal_engine::Engine;
-use focal_wafer::{DefectDistribution, DefectSimulator, DiePlacement, Wafer};
+use focal_perf::{LeakageFraction, ParallelFraction, PollackRule, SymmetricMulticore};
+use focal_wafer::{
+    DefectDensity, DefectDistribution, DefectSimulator, DiePlacement, Wafer, YieldModel,
+};
 use std::fmt::Write as _;
 use std::hint::black_box;
 
@@ -110,15 +113,82 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         threads
     );
 
-    // Exact die-placement counter.
-    let placement10 = DiePlacement::square(10.0);
+    // The NCF and classification kernels every figure point runs.
+    let ncf_x = DesignPoint::from_power_perf(1.39, 2.32, 1.75)?;
+    let y = DesignPoint::reference();
     add(
         &mut records,
-        "chips_exact/square10mm",
+        "ncf/evaluate",
         bench.measure(|| {
-            let _ = black_box(Wafer::W300MM.chips_exact(black_box(&placement10)));
+            let _ = black_box(Ncf::evaluate(
+                black_box(&ncf_x),
+                black_box(&y),
+                Scenario::FixedWork,
+                E2oWeight::EMBODIED_DOMINATED,
+            ));
         }),
     );
+    add(
+        &mut records,
+        "ncf/classify",
+        bench.measure(|| {
+            let _ = black_box(focal_core::classify(
+                black_box(&ncf_x),
+                black_box(&y),
+                E2oWeight::EMBODIED_DOMINATED,
+            ));
+        }),
+    );
+
+    // One Woo–Lee symmetric-multicore design point (Figure 3's kernel).
+    let parallel = ParallelFraction::new(0.95)?;
+    add(
+        &mut records,
+        "multicore/woo_lee_32",
+        bench.measure(|| {
+            let _ = black_box(SymmetricMulticore::unit_cores(32).and_then(|m| {
+                m.design_point(
+                    black_box(parallel),
+                    LeakageFraction::PAPER,
+                    PollackRule::CLASSIC,
+                )
+            }));
+        }),
+    );
+
+    // Closed-form wafer math at 100 mm² (Figure 1's kernels).
+    let die100 = SiliconArea::from_mm2(100.0)?;
+    add(
+        &mut records,
+        "wafer/chips_de_vries",
+        bench.measure(|| {
+            let _ = black_box(Wafer::W300MM.chips_de_vries(black_box(die100)));
+        }),
+    );
+    add(
+        &mut records,
+        "wafer/murphy_yield",
+        bench.measure(|| {
+            let _ = black_box(
+                YieldModel::Murphy.fraction_good(black_box(die100), DefectDensity::TSMC_VOLUME),
+            );
+        }),
+    );
+
+    // Exact die-placement counter.
+    let placement10 = DiePlacement::square(10.0);
+    for (kernel, placement) in [
+        ("chips_exact/square10mm", &placement10),
+        ("chips_exact/square20mm", &DiePlacement::square(20.0)),
+    ] {
+        add(
+            &mut records,
+            kernel,
+            bench.measure(|| {
+                let _ = black_box(Wafer::W300MM.chips_exact(black_box(placement)));
+            }),
+        );
+    }
 
     // Defect simulator: uniform and clustered at three die sizes, plus
     // the naive reference at the acceptance configuration.
@@ -174,7 +244,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One Monte-Carlo NCF chunk on the serial engine: the per-sample
     // kernel cost without pool scheduling in the way.
     let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1)?;
-    let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 42)?;
     let serial = Engine::serial();
     add(
@@ -191,6 +260,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ));
         }),
     );
+
+    // Whole Monte-Carlo NCF runs (sampling, sort and summary) on the
+    // configured engine.
+    for samples in [1_000usize, 10_000, 100_000] {
+        add(
+            &mut records,
+            &format!("monte_carlo_ncf/{samples}"),
+            bench.measure(|| {
+                let _ = black_box(mc.run_on(
+                    &engine,
+                    black_box(&x),
+                    black_box(&y),
+                    Scenario::FixedWork,
+                    samples,
+                    None,
+                ));
+            }),
+        );
+    }
 
     // The SoA kernel gate pair: sample *generation* only (the sort and
     // summary are identical work on both sides and would dilute the
@@ -264,13 +352,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }),
     );
 
-    // Every paper figure, end to end, on the configured engine.
+    // Every paper figure and finding, end to end on the configured
+    // engine, then each registry entry alone, plus Figure 1's trendline
+    // fits.
     let figures = focal_studies::all_figures_on(&engine)?;
     add(
         &mut records,
         "all_figures",
         bench.measure(|| {
             let _ = black_box(focal_studies::all_figures_on(black_box(&engine)));
+        }),
+    );
+    add(
+        &mut records,
+        "all_findings",
+        bench.measure(|| {
+            let _ = black_box(focal_studies::all_findings_on(black_box(&engine)));
+        }),
+    );
+    for entry in focal_studies::builtin_registry() {
+        add(
+            &mut records,
+            &format!("registry/{}", entry.id),
+            bench.measure(|| {
+                let _ = black_box(black_box(&entry).build());
+            }),
+        );
+    }
+    add(
+        &mut records,
+        "fig1/trendlines",
+        bench.measure(|| {
+            let _ = black_box(focal_studies::wafer_figure::figure1_trendlines());
         }),
     );
 

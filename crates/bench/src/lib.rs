@@ -1,14 +1,18 @@
 //! # focal-bench — the FOCAL reproduction harness
 //!
-//! One binary per paper figure (`fig1`, `fig3`, … `fig9`), a `findings`
-//! binary that recomputes all 17 findings (+ the §7 case study) with
-//! paper-vs-measured tables, and ablation binaries for the design choices
-//! DESIGN.md calls out. Criterion benches (`cargo bench -p focal-bench`)
-//! time the model kernels behind each figure.
+//! One binary per harness job:
 //!
-//! Every binary prints the figure's series as an ASCII chart plus a CSV
-//! dump on stdout, so `cargo run -p focal-bench --bin fig3 > fig3.csv`
-//! captures machine-readable data.
+//! * `suite` regenerates every figure and finding and gates on the
+//!   reproduction (see [`suite`]);
+//! * `figures` prints every paper figure as ASCII charts plus its CSV
+//!   block (see [`print_figure`]);
+//! * `report` writes the paper-vs-measured Markdown report of all 17
+//!   findings plus the §7 case study;
+//! * `bench` times the model kernels and writes `BENCH.json` (see
+//!   [`micro`]);
+//! * `robustness`, `taxonomy`, and the `ablation_*`, `ext_*` and
+//!   `soc_designer` binaries print the ablation and extension tables
+//!   DESIGN.md calls out.
 
 #![warn(missing_docs)]
 
@@ -17,6 +21,8 @@ pub mod micro;
 pub mod suite;
 
 use focal_studies::Figure;
+
+pub use focal_report::{json_escape, json_escape_into};
 
 /// `git rev-parse --short HEAD` of the current directory, or
 /// `"unknown"` when git or the checkout is unavailable. Stamped into
@@ -47,20 +53,9 @@ pub fn print_figure(fig: &Figure) {
     print!("{}", fig.to_csv());
 }
 
-/// Prints a one-line reproduction summary for a set of findings and
-/// returns how many reproduced.
-pub fn print_findings_summary(findings: &[focal_studies::Finding]) -> usize {
-    let ok = findings.iter().filter(|f| f.reproduces()).count();
-    println!(
-        "\n{ok}/{} findings reproduce the paper's numbers and verdicts.",
-        findings.len()
-    );
-    ok
-}
-
 /// Process exit code for a findings run: `0` only if *every* finding
-/// reproduces the paper, `1` otherwise — so CI can gate on the `findings`
-/// binary (and the `suite` binary) directly.
+/// reproduces the paper, `1` otherwise. The `suite` binary's findings
+/// stage passes exactly when this is `0`, so CI can gate on it.
 ///
 /// An empty slice is a failure: it means the registry produced nothing,
 /// which must never read as success.
@@ -82,11 +77,5 @@ mod tests {
         let fig = focal_studies::wafer_figure::figure1().unwrap();
         // Just exercise the printing path.
         print_figure(&fig);
-    }
-
-    #[test]
-    fn summary_counts_reproductions() {
-        let findings = focal_studies::all_findings().unwrap();
-        assert_eq!(print_findings_summary(&findings), findings.len());
     }
 }

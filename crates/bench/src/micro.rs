@@ -1,15 +1,15 @@
 //! The dependency-free micro-benchmark harness behind the `bench` binary.
 //!
 //! Each kernel is timed over the monotonic [`std::time::Instant`] clock:
-//! a calibration pass sizes the per-trial iteration count so one trial
-//! runs long enough to dwarf timer resolution, then the harness reports
-//! the **median of k trials** in ns/op — robust against one-off scheduler
-//! hiccups without criterion's machinery. Results serialize to
-//! `BENCH.json`, the first point of the repo's performance trajectory
+//! a calibration pass over warm, doubling batches sizes the per-trial
+//! iteration count so one trial runs long enough to dwarf timer
+//! resolution, then the harness reports the **median of k trials** in
+//! ns/op — robust against one-off scheduler hiccups. Results serialize
+//! to `BENCH.json`, the first point of the repo's performance trajectory
 //! (one record per kernel: `{kernel, ns_per_op, iters, threads,
 //! git_rev}`), which CI regenerates and archives on every run.
 
-use crate::suite::json_escape;
+use focal_report::json_escape;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -28,6 +28,13 @@ pub struct BenchRecord {
     /// checkout).
     pub git_rev: String,
 }
+
+/// Calibration stops doubling its batch once the batch fills
+/// `1 / CALIBRATION_SHARE` of the target trial.
+const CALIBRATION_SHARE: u128 = 10;
+
+/// The most iterations one trial (or calibration batch) runs.
+const MAX_ITERS: u64 = 100_000_000;
 
 /// The result of measuring one kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,20 +83,35 @@ impl MicroBench {
         }
     }
 
-    /// Times `op`, returning the median ns/op. The calibration pass also
-    /// serves as warmup (caches and branch predictors see the kernel
-    /// before any timed trial).
+    /// Times `op`, returning the median ns/op.
+    ///
+    /// Calibration first makes one untimed call, so a cold first call
+    /// (page faults, lazy initialization, cold caches) cannot size the
+    /// trials. It then times warm batches of 1, 2, 4, … calls until one
+    /// fills at least a tenth of the target, and scales the fastest
+    /// per-call time seen to the target: a near-free kernel gets a full
+    /// trial, not one sized by timer overhead or a single slow call.
     pub fn measure<F: FnMut()>(&self, mut op: F) -> Measurement {
         let iters = match self.fixed_iters {
             Some(n) => n.max(1),
             None => {
-                let t = Instant::now();
                 op();
-                let once_ns = t.elapsed().as_nanos().max(1);
+                let mut batch: u64 = 1;
+                let mut best_ns_per_op = f64::INFINITY;
+                loop {
+                    let t = Instant::now();
+                    for _ in 0..batch {
+                        op();
+                    }
+                    let batch_ns = t.elapsed().as_nanos().max(1);
+                    best_ns_per_op = best_ns_per_op.min(batch_ns as f64 / batch as f64);
+                    if batch_ns * CALIBRATION_SHARE >= self.target_trial_ns || batch >= MAX_ITERS {
+                        break;
+                    }
+                    batch = batch.saturating_mul(2);
+                }
                 // One trial ≈ target_trial_ns, at least 1 iteration.
-                u64::try_from(self.target_trial_ns / once_ns)
-                    .unwrap_or(u64::MAX)
-                    .clamp(1, 100_000_000)
+                (self.target_trial_ns as f64 / best_ns_per_op).clamp(1.0, MAX_ITERS as f64) as u64
             }
         };
         let mut samples: Vec<f64> = (0..self.trials.max(1))
@@ -159,6 +181,33 @@ mod tests {
         assert!(m.iters >= 1);
         assert_eq!(m.trials, 3);
         assert!(m.ns_per_op > 0.0);
+    }
+
+    #[test]
+    fn a_slow_first_call_does_not_shorten_the_trials() {
+        // The first call is 2 ms, every later call near-free: sizing the
+        // trials from that call would run five calls per 10 ms trial.
+        let target_trial_ns = 10_000_000;
+        let bench = MicroBench {
+            target_trial_ns,
+            trials: 3,
+            fixed_iters: None,
+        };
+        let mut first = true;
+        let m = bench.measure(|| {
+            if first {
+                first = false;
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            std::hint::black_box(());
+        });
+        let trial_ns = m.iters as f64 * m.ns_per_op;
+        assert!(
+            trial_ns >= target_trial_ns as f64 / 2.0,
+            "{} iterations of {} ns make a {trial_ns} ns trial",
+            m.iters,
+            m.ns_per_op
+        );
     }
 
     #[test]

@@ -31,6 +31,8 @@ use focal_core::{
 };
 use focal_engine::fault::payload_to_string;
 use focal_engine::Engine;
+use focal_report::json_escape;
+use focal_scenario::digest_entry;
 use focal_studies::robustness::verdict_robustness_with;
 use focal_wafer::{DefectDistribution, DefectSimulator, DiePlacement, Wafer, YieldModel};
 use std::fmt::Write as _;
@@ -170,34 +172,6 @@ pub struct SuiteReport {
     pub memo_stats: Option<SweepMemoStats>,
 }
 
-/// FNV-1a 64-bit digest, used to fingerprint figure CSV bytes in the
-/// summary without embedding the full dump.
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl SuiteReport {
     /// `true` if every stage passed.
     #[must_use]
@@ -296,9 +270,13 @@ impl SuiteReport {
 }
 
 /// The mechanism pairs the ablation stages sweep: the α-regime-sensitive
-/// design comparisons of §5–§6 (the same set as the `ablation_alpha`
-/// binary).
-fn ablation_mechanisms() -> Result<Vec<(&'static str, DesignPoint, DesignPoint)>> {
+/// design comparisons of §5–§6, by id. The `ablation_alpha` binary
+/// tabulates the same set.
+///
+/// # Errors
+///
+/// Never fails for the paper's built-in design points.
+pub fn ablation_mechanisms() -> Result<Vec<(&'static str, DesignPoint, DesignPoint)>> {
     let reference = DesignPoint::reference();
     Ok(vec![
         (
@@ -507,13 +485,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
         }
         let mut entries: Vec<(String, String)> = figures
             .iter()
-            .map(|f| {
-                let csv = f.to_csv();
-                (
-                    f.id.to_string(),
-                    format!("{} bytes, fnv64={:016x}", csv.len(), fnv64(csv.as_bytes())),
-                )
-            })
+            .map(|f| (f.id.to_string(), digest_entry(f.to_csv().as_bytes())))
             .collect();
         entries.sort();
         Ok((figures.len() == 9, entries))
@@ -547,7 +519,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
             format!("{reproduced}/{}", findings.len()),
         ));
         entries.sort();
-        Ok((reproduced == findings.len(), entries))
+        Ok((crate::findings_exit_code(&findings) == 0, entries))
     }));
 
     // Stage 3: Monte-Carlo verdict robustness across the taxonomy (the
@@ -679,20 +651,6 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn suite_runs_and_passes_on_the_paper_configuration() {

@@ -1,6 +1,7 @@
 //! Diagnostic types and the four output formats (`text`, `json`,
 //! `github`, `sarif`).
 
+use focal_report::json_escape;
 use std::fmt;
 
 /// The lint rule that produced a diagnostic.
@@ -164,22 +165,6 @@ impl Format {
             _ => None,
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the SARIF 2.1.0 report: one `run` with the full rule table in

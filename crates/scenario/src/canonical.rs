@@ -450,9 +450,18 @@ impl<'a> Ctx<'a> {
         let (center, half_width) = (Key::AlphaCenter, Key::AlphaHalfWidth);
         match (self.def.numbers(center), self.def.number(half_width)) {
             (None, None) => Ok(focal_studies::labels::DEFAULT_RANGES.to_vec()),
-            (Some(centers), Some(half)) => self.list_of(center, centers, "band center", |&c| {
-                E2oRange::new(c, half.value)
-            }),
+            (Some(centers), Some(half)) => {
+                // As in `grouped`, each key is first checked on its own,
+                // in row order: every center at a zero half width, then
+                // the half width around 0.5, which admits every half
+                // width some center does. A pair that fails only together
+                // is reported under `alpha_center`.
+                self.list_of(center, centers, "band center", |&c| E2oRange::new(c, 0.0))?;
+                self.model(half_width.name(), half.line, E2oRange::new(0.5, half.value))?;
+                self.list_of(center, centers, "band center", |&c| {
+                    E2oRange::new(c, half.value)
+                })
+            }
             (Some(centers), None) => Err(self.err(
                 centers.line,
                 center.name(),
@@ -671,6 +680,14 @@ impl<'a> Ctx<'a> {
             .workload;
         let miss_model =
             self.number_or(Key::MissExponent, paper.miss_model(), MissRateModel::new)?;
+        // Every cache size must lie in the range the CACTI model the
+        // evaluation uses is calibrated for; each is checked when read,
+        // so an out-of-range size names its own key.
+        let cacti = CactiLite::paper_65nm();
+        let calibrated = |mib: f64| {
+            let size = CacheSize::from_mib(mib)?;
+            cacti.access_energy(size).map(|_| size)
+        };
         let (base_mib, base_kib) = (Key::BaseMib, Key::BaseKib);
         let base_size = match (self.def.number(base_mib), self.def.number(base_kib)) {
             (Some(mib), Some(kib)) => {
@@ -684,13 +701,11 @@ impl<'a> Ctx<'a> {
                     ),
                 ))
             }
-            (Some(mib), None) => {
-                self.model(base_mib.name(), mib.line, CacheSize::from_mib(mib.value))?
-            }
+            (Some(mib), None) => self.model(base_mib.name(), mib.line, calibrated(mib.value))?,
             (None, Some(kib)) => self.model(
                 base_kib.name(),
                 kib.line,
-                CacheSize::from_mib(kib.value / KIB_PER_MIB),
+                calibrated(kib.value / KIB_PER_MIB),
             )?,
             (None, None) => paper.base_size(),
         };
@@ -701,14 +716,7 @@ impl<'a> Ctx<'a> {
                 (Key::CacheEnergyFraction, paper.cache_energy_fraction()),
             ],
             |[stall, memory, cache]| {
-                MemoryBoundWorkload::new(
-                    CactiLite::paper_65nm(),
-                    miss_model,
-                    base_size,
-                    stall,
-                    memory,
-                    cache,
-                )
+                MemoryBoundWorkload::new(cacti, miss_model, base_size, stall, memory, cache)
             },
         )?;
         let (llc_mib, llc_kib) = (Key::LlcMib, Key::LlcKib);
@@ -723,10 +731,10 @@ impl<'a> Ctx<'a> {
                     ),
                 ))
             }
-            (Some(mib), None) => self.list_of(llc_mib, mib, "size", |&v| CacheSize::from_mib(v))?,
-            (None, Some(kib)) => self.list_of(llc_kib, kib, "size", |&v| {
-                CacheSize::from_mib(v / KIB_PER_MIB)
-            })?,
+            (Some(mib), None) => self.list_of(llc_mib, mib, "size", |&v| calibrated(v))?,
+            (None, Some(kib)) => {
+                self.list_of(llc_kib, kib, "size", |&v| calibrated(v / KIB_PER_MIB))?
+            }
             (None, None) => CacheSize::paper_sweep(),
         };
         Ok(StudySpec::Caching {

@@ -282,7 +282,26 @@ fn cases() -> Vec<(String, String)> {
         ));
     }
     cases.extend(two_faults());
+    cases.extend(outside_calibration());
     cases
+}
+
+/// Cache sizes outside the CACTI model's calibrated 512 KiB–32 MiB
+/// range: each must name its own key at its line.
+fn outside_calibration() -> Vec<(String, String)> {
+    [
+        ("sweep", "llc_mib = [64]"),
+        ("sweep", "llc_kib = [256]"),
+        ("params", "base_kib = 256"),
+    ]
+    .into_iter()
+    .map(|(table, line)| {
+        (
+            format!("calibration {table}.{line}"),
+            render(&first_head("caching"), &[(table, line.to_string())]),
+        )
+    })
+    .collect()
 }
 
 /// Two faults per input, one on each side of a phase boundary (or two

@@ -12,16 +12,20 @@
 //!   on any input: the negative-protocol corpus in
 //!   `tests/protocol_negative.rs` pins this.
 //! * [`escape_into`] / [`escape`] — the string-escaping half of
-//!   rendering. Responses are assembled in one buffer from fixed
-//!   fragments and escaped values, so rendering is deterministic by
-//!   construction: objects are emitted in a fixed key order, never
-//!   iterated from a map.
+//!   rendering, re-exported from `focal-report` (through `focal-bench`)
+//!   so the suite, `BENCH.json` and `focal-lint` escape alike.
+//!   Responses are assembled in one buffer from fixed fragments and
+//!   escaped values, so rendering is deterministic by construction:
+//!   objects are emitted in a fixed key order, never iterated from a
+//!   map.
 //!
 //! Objects parse into an order-preserving `Vec<(String, JsonValue)>`
 //! rather than a hash map: iteration order is input order, which keeps
 //! error reporting (first unknown key wins) deterministic.
 
 use std::fmt;
+
+pub use focal_bench::{json_escape as escape, json_escape_into as escape_into};
 
 /// Maximum nesting depth accepted by the parser. Request envelopes are
 /// at most three levels deep (`{"batch": [{...}]}`), so this bounds
@@ -129,52 +133,6 @@ impl JsonValue {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
     }
-}
-
-/// Escapes `s` for embedding in a JSON string literal (quotes not
-/// included). Mirrors the suite report's escaping so serve and suite
-/// output stay diffable with the same tooling.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
-/// Appends `s` to `out`, escaped for a JSON string literal (quotes not
-/// included): `\"`, `\\`, `\n`, `\r` and `\t` for those bytes, `\u00xx`
-/// (lowercase hex) for every other byte below 0x20, and everything else
-/// — 0x7f and non-ASCII included — unchanged.
-///
-/// Runs that need no escaping are copied whole. Every escaped byte is
-/// ASCII, so each run starts and ends on a UTF-8 boundary.
-pub fn escape_into(out: &mut String, s: &str) {
-    let mut run_start = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(s.get(run_start..i).unwrap_or_default());
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                out.push_str("\\u00");
-                out.push(hex_digit(b >> 4));
-                out.push(hex_digit(b & 0xf));
-            }
-        }
-        run_start = i + 1;
-    }
-    out.push_str(s.get(run_start..).unwrap_or_default());
-}
-
-/// The lowercase hex digit for a nibble.
-fn hex_digit(nibble: u8) -> char {
-    char::from_digit(u32::from(nibble), 16).unwrap_or('0')
 }
 
 /// Byte-cursor recursive-descent parser.
@@ -488,24 +446,6 @@ mod tests {
         assert!(matches!(v.get("k"), Some(JsonValue::Num(_))));
     }
 
-    /// The char-by-char escaper `escape_into` replaced, kept as its
-    /// oracle.
-    fn escape_oracle(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
     /// The scalar-at-a-time string parser the run-copying
     /// `Parser::string` replaced, kept as its oracle. The cursor is on
     /// the opening quote.
@@ -579,18 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn escape_matches_the_oracle_on_every_edge_character() {
-        for c in edge_chars() {
-            for s in [c.to_string(), format!("a{c}b"), format!("{c}{c}x{c}")] {
-                assert_eq!(escape(&s), escape_oracle(&s), "{s:?}");
-                let mut out = String::from("prefix");
-                escape_into(&mut out, &s);
-                assert_eq!(out, format!("prefix{}", escape_oracle(&s)));
-            }
-        }
-    }
-
-    #[test]
     fn parser_matches_the_oracle_on_every_edge_character() {
         for c in edge_chars() {
             for body in [
@@ -611,22 +539,6 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn escape_into_matches_the_char_by_char_escaper(
-            strings in proptest::collection::vec(
-                proptest::string::string_regex(EDGE_CLASS).unwrap(),
-                1..16,
-            ),
-        ) {
-            for s in &strings {
-                proptest::prop_assert_eq!(escape(s), escape_oracle(s));
-                proptest::prop_assert_eq!(
-                    JsonValue::parse(&format!("\"{}\"", escape(s))),
-                    Ok(JsonValue::Str(s.clone()))
-                );
-            }
-        }
-
-        #[test]
         fn run_copying_parser_matches_the_oracle_on_raw_input(
             bodies in proptest::collection::vec(
                 proptest::string::string_regex(EDGE_CLASS).unwrap(),
@@ -638,7 +550,11 @@ mod tests {
             for body in &bodies {
                 assert_parsers_agree(&format!("\"{body}\""));
                 assert_parsers_agree(&format!("\"{body}"));
-                assert_parsers_agree(&format!("\"{}\"", escape_oracle(body)));
+                assert_parsers_agree(&format!("\"{}\"", escape(body)));
+                proptest::prop_assert_eq!(
+                    JsonValue::parse(&format!("\"{}\"", escape(body))),
+                    Ok(JsonValue::Str(body.clone()))
+                );
             }
         }
     }

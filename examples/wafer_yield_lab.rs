@@ -7,9 +7,10 @@
 //! Run with `cargo run -p focal --example wafer_yield_lab`.
 
 use focal::report::Table;
+use focal::studies::wafer_figure::figure1_trendlines;
 use focal::wafer::{
     DefectDensity, DefectDistribution, DefectSimulator, DiePlacement, EmbodiedModel, HarvestPolicy,
-    Polynomial, Wafer, WaferEconomics, YieldModel,
+    Wafer, WaferEconomics, YieldModel,
 };
 use focal::SiliconArea;
 
@@ -95,17 +96,20 @@ fn main() -> focal::Result<()> {
     println!("die harvesting:\n\n{harvest}");
 
     // -----------------------------------------------------------------
-    // 4. Figure 1's trendlines, refit live.
+    // 4. Figure 1's trendlines, refit live over its 15-point sweep.
     // -----------------------------------------------------------------
-    let pts = EmbodiedModel::figure1_murphy().sweep_normalized(100.0, 800.0, 15, reference)?;
-    let (xs, ys): (Vec<f64>, Vec<f64>) = pts.into_iter().unzip();
-    let quad = Polynomial::fit(&xs, &ys, 2)?;
+    let ((lin, lin_r2), (quad, quad_r2)) = figure1_trendlines()?;
+    println!("trendlines (as in the paper's Figure 1):");
     println!(
-        "Murphy trendline: {:.3} {:+.5}*A {:+.8}*A²  (R² = {:.5})\n",
+        "  perfect yield ~ linear:    {:+.4} {:+.6}*A            (R² = {lin_r2:.5})",
+        lin.coefficients()[0],
+        lin.coefficients()[1]
+    );
+    println!(
+        "  Murphy ~ quadratic: {:+.4} {:+.6}*A {:+.9}*A² (R² = {quad_r2:.5})\n",
         quad.coefficients()[0],
         quad.coefficients()[1],
-        quad.coefficients()[2],
-        quad.r_squared(&xs, &ys)
+        quad.coefficients()[2]
     );
 
     // -----------------------------------------------------------------
