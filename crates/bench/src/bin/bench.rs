@@ -17,7 +17,7 @@
 //!
 //! The human-readable table goes to stderr; only file I/O touches disk.
 
-use focal_bench::micro::{to_bench_json, BenchRecord, Measurement, MicroBench};
+use focal_bench::micro::{Measurement, MicroBench};
 use focal_bench::suite::{run_suite, DEFECT_SIM_DENSITY, DEFECT_SIM_SEED};
 use focal_core::{
     mc_kernel_isa, DesignPoint, E2oRange, E2oWeight, MonteCarloNcf, Ncf, Scenario, SiliconArea,
@@ -25,6 +25,7 @@ use focal_core::{
 };
 use focal_engine::Engine;
 use focal_perf::{LeakageFraction, ParallelFraction, PollackRule, SymmetricMulticore};
+use focal_report::{detect_git_rev, to_bench_json, BenchRecord};
 use focal_wafer::{
     DefectDensity, DefectDistribution, DefectSimulator, DiePlacement, Wafer, YieldModel,
 };
@@ -95,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let engine = Engine::from_env();
     let threads = engine.threads();
-    let rev = focal_bench::detect_git_rev();
+    let rev = detect_git_rev();
 
     let mut records: Vec<BenchRecord> = Vec::new();
     let add = |records: &mut Vec<BenchRecord>, kernel: &str, m: Measurement| {

@@ -12,12 +12,22 @@
 //!   the JSON, leaving only thread-count-invariant content. CI runs the
 //!   suite under `FOCAL_THREADS=1` and `FOCAL_THREADS=4` with this flag
 //!   and diffs the outputs byte-for-byte.
-//! * `--dump-dir <dir>` — additionally write every hand-coded figure's
-//!   CSV dump to `<dir>/registry/<fig>.csv` and, when `--scenarios` is
-//!   given, every scenario's output to `<dir>/scenarios/<id>.csv` (or
-//!   `.txt` for findings and robustness). The two corpora are keyed into
-//!   separate subdirectories so DSL twins can never clobber the
-//!   hand-coded dumps they mirror.
+//! * `--dump-dir <dir>` — also write the bytes the stages digest: the
+//!   figures stage writes each figure's CSV to `<dir>/registry/<fig>.csv`
+//!   and, with `--scenarios`, the scenarios stage writes each scenario's
+//!   output to `<dir>/scenarios/<id>.csv` (or `.txt` for findings and
+//!   robustness). The two corpora are keyed into separate subdirectories
+//!   so DSL twins can never clobber the hand-coded dumps they mirror.
+//!   Dumping changes no stdout byte, and every file equals the entry
+//!   beside it in the report:
+//!   - a stage that returns an error or panics writes nothing; a stage
+//!     writes only after its NaN/∞ audit has passed;
+//!   - a scenario whose evaluation failed is not written;
+//!   - a failed write makes its stage `failed`: the stage keeps its
+//!     digest entries and gains one `dump-error` entry naming the file
+//!     (e.g. `registry/fig1.csv`) and the I/O error, the JSON is still
+//!     printed and the suite exits 1;
+//!   - a stage's timed `wall_us` includes its writes.
 //! * `--samples <n>` — Monte-Carlo samples per robustness run (default:
 //!   [`focal_bench::suite::ROBUSTNESS_SAMPLES`]), at most
 //!   [`focal_scenario::MAX_MC_SAMPLES`] (2^20); 0 or a larger value exits
@@ -44,12 +54,12 @@
 use focal_bench::suite::{run_suite_with_options, SuiteOptions, STAGE_NAMES};
 use focal_engine::fault::MC_SITE;
 use focal_engine::{Engine, FaultPlan};
+use focal_report::DumpDir;
 use focal_scenario::MAX_MC_SAMPLES;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut no_timings = false;
-    let mut dump_dir: Option<&String> = None;
     let mut options = SuiteOptions::default();
     let mut faults: Option<&'static FaultPlan> = None;
     let mut i = 0;
@@ -58,7 +68,7 @@ fn main() {
             "--no-timings" => no_timings = true,
             "--dump-dir" if args.get(i + 1).is_some() => {
                 i += 1;
-                dump_dir = args.get(i);
+                options.dump_dir = args.get(i).map(DumpDir::new);
             }
             "--scenarios" if args.get(i + 1).is_some() => {
                 i += 1;
@@ -106,61 +116,6 @@ fn main() {
 
     let engine = Engine::from_env().with_faults(faults);
     let report = run_suite_with_options(&engine, &options);
-
-    if let Some(dir) = dump_dir {
-        // Hand-coded registry dumps and scenario dumps go through the
-        // shared namespaced DumpDir (registry/, scenarios/ — serve/ is
-        // reserved for focal-serve transcripts), keyed by figure id and
-        // scenario id, so a DSL twin (same id as the figure it mirrors)
-        // can never clobber the hand-coded artifact it is compared
-        // against.
-        let dump = focal_bench::dump::DumpDir::new(dir);
-        let skip_registry = options.scenarios_only && options.scenarios_dir.is_some();
-        if !skip_registry {
-            match focal_studies::all_figures_on(&engine) {
-                Ok(figures) => {
-                    for fig in figures {
-                        if let Err(e) = dump.write_registry(fig.id, &fig.to_csv()) {
-                            eprintln!("error: failed to dump figure '{}': {e}", fig.id);
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: figure dump skipped: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(scenarios_src) = &options.scenarios_dir {
-            match focal_scenario::load_dir(scenarios_src) {
-                Ok(scenarios) => {
-                    for scenario in &scenarios {
-                        let output = match scenario.evaluate_on(&engine, None) {
-                            Ok(output) => output,
-                            Err(e) => {
-                                eprintln!("error: scenario '{}' dump skipped: {e}", scenario.id());
-                                std::process::exit(1);
-                            }
-                        };
-                        let ext = match output {
-                            focal_scenario::ScenarioOutput::Figure(_) => "csv",
-                            _ => "txt",
-                        };
-                        if let Err(e) = dump.write_scenario(scenario.id(), ext, &output.to_bytes())
-                        {
-                            eprintln!("error: failed to dump scenario '{}': {e}", scenario.id());
-                            std::process::exit(1);
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: scenario dump skipped: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
 
     eprintln!("{}", report.human_summary());
     print!("{}", report.to_json(!no_timings));

@@ -3,42 +3,29 @@
 //! One binary per harness job:
 //!
 //! * `suite` regenerates every figure and finding and gates on the
-//!   reproduction (see [`suite`]);
+//!   reproduction (see [`suite`]); with `--dump-dir` its stages also
+//!   write the CSVs and scenario outputs they digest, through
+//!   [`focal_report::DumpDir`];
 //! * `figures` prints every paper figure as ASCII charts plus its CSV
 //!   block (see [`print_figure`]);
 //! * `report` writes the paper-vs-measured Markdown report of all 17
 //!   findings plus the §7 case study;
 //! * `bench` times the model kernels and writes `BENCH.json` (see
-//!   [`micro`]);
+//!   [`micro`] and [`focal_report::to_bench_json`]);
 //! * `robustness`, `taxonomy`, and the `ablation_*`, `ext_*` and
 //!   `soc_designer` binaries print the ablation and extension tables
 //!   DESIGN.md calls out.
+//!
+//! No workspace crate depends on this one: what `focal-serve` shares
+//! with the harness (the dump namespaces, `BENCH.json` records, the git
+//! revision and the JSON escaper) lives in `focal-report`.
 
 #![warn(missing_docs)]
 
-pub mod dump;
 pub mod micro;
 pub mod suite;
 
 use focal_studies::Figure;
-
-pub use focal_report::{json_escape, json_escape_into};
-
-/// `git rev-parse --short HEAD` of the current directory, or
-/// `"unknown"` when git or the checkout is unavailable. Stamped into
-/// benchmark records and `focal-serve` response provenance.
-#[must_use]
-pub fn detect_git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
 
 /// Prints a regenerated figure in the harness's standard format: caption,
 /// ASCII charts, then the CSV block.

@@ -4,30 +4,13 @@
 //! a calibration pass over warm, doubling batches sizes the per-trial
 //! iteration count so one trial runs long enough to dwarf timer
 //! resolution, then the harness reports the **median of k trials** in
-//! ns/op — robust against one-off scheduler hiccups. Results serialize
-//! to `BENCH.json`, the first point of the repo's performance trajectory
+//! ns/op — robust against one-off scheduler hiccups. The `bench` binary
+//! serializes the results through [`focal_report::to_bench_json`] to
+//! `BENCH.json`, the first point of the repo's performance trajectory
 //! (one record per kernel: `{kernel, ns_per_op, iters, threads,
 //! git_rev}`), which CI regenerates and archives on every run.
 
-use focal_report::json_escape;
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// One timed kernel, as it appears in `BENCH.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Kernel name, e.g. `defect_sim/uniform/die10mm`.
-    pub kernel: String,
-    /// Median wall-clock nanoseconds per operation.
-    pub ns_per_op: f64,
-    /// Iterations per timed trial.
-    pub iters: u64,
-    /// Worker threads the process ran with (`FOCAL_THREADS`).
-    pub threads: usize,
-    /// Git revision the measurement was taken at (`unknown` outside a
-    /// checkout).
-    pub git_rev: String,
-}
 
 /// Calibration stops doubling its batch once the batch fills
 /// `1 / CALIBRATION_SHARE` of the target trial.
@@ -133,28 +116,6 @@ impl MicroBench {
     }
 }
 
-/// Serializes the records as the `BENCH.json` document: a JSON array of
-/// flat records, one per kernel, newest file wins (the perf trajectory
-/// lives in CI artifacts, not in-repo history).
-#[must_use]
-pub fn to_bench_json(records: &[BenchRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"kernel\": \"{}\", \"ns_per_op\": {}, \"iters\": {}, \"threads\": {}, \"git_rev\": \"{}\"}}",
-            json_escape(&r.kernel),
-            r.ns_per_op,
-            r.iters,
-            r.threads,
-            json_escape(&r.git_rev)
-        );
-        out.push_str(if i + 1 == records.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,38 +192,5 @@ mod tests {
             "median {} should exclude the 20 ms outlier",
             m.ns_per_op
         );
-    }
-
-    #[test]
-    fn bench_json_is_schema_shaped() {
-        let records = vec![
-            BenchRecord {
-                kernel: "a/b".into(),
-                ns_per_op: 12.5,
-                iters: 100,
-                threads: 4,
-                git_rev: "abc1234".into(),
-            },
-            BenchRecord {
-                kernel: "c".into(),
-                ns_per_op: 3.0,
-                iters: 1,
-                threads: 1,
-                git_rev: "unknown".into(),
-            },
-        ];
-        let json = to_bench_json(&records);
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("]\n"));
-        assert!(json.contains(
-            "{\"kernel\": \"a/b\", \"ns_per_op\": 12.5, \"iters\": 100, \
-             \"threads\": 4, \"git_rev\": \"abc1234\"}"
-        ));
-        assert_eq!(json.matches("\"kernel\"").count(), 2);
-    }
-
-    #[test]
-    fn empty_record_list_serializes_to_empty_array() {
-        assert_eq!(to_bench_json(&[]), "[\n]\n");
     }
 }

@@ -31,13 +31,13 @@ use focal_core::{
 };
 use focal_engine::fault::payload_to_string;
 use focal_engine::Engine;
-use focal_report::json_escape;
-use focal_scenario::digest_entry;
+use focal_report::{json_escape, DumpDir, NS_REGISTRY, NS_SCENARIOS};
+use focal_scenario::{digest_entry, ScenarioOutput};
 use focal_studies::robustness::verdict_robustness_with;
 use focal_wafer::{DefectDistribution, DefectSimulator, DiePlacement, Wafer, YieldModel};
 use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Samples per Monte-Carlo robustness run — two full engine chunks plus
@@ -94,6 +94,13 @@ pub struct SuiteOptions {
     /// from the cache. Deterministic output is byte-identical either way;
     /// hit/miss counters land in the *timed* report only.
     pub memo: bool,
+    /// When set, the figures and scenarios stages also write the bytes
+    /// they digest: `registry/<figure-id>.csv` and
+    /// `scenarios/<scenario-id>.{csv,txt}` (the `--dump-dir <dir>`
+    /// flag). A stage that errors writes nothing, a failed scenario is
+    /// not written, and a failed write fails its stage with a
+    /// `dump-error` entry. The report is otherwise unchanged.
+    pub dump_dir: Option<DumpDir>,
 }
 
 impl Default for SuiteOptions {
@@ -103,6 +110,7 @@ impl Default for SuiteOptions {
             scenarios_dir: None,
             scenarios_only: false,
             memo: false,
+            dump_dir: None,
         }
     }
 }
@@ -392,6 +400,30 @@ fn audit_finite(context: impl FnOnce() -> String, value: f64) -> Result<()> {
     }
 }
 
+/// Writes a stage's `(id, extension, bytes)` artifacts into `namespace`
+/// of [`SuiteOptions::dump_dir`], if one is set. The first failed write
+/// stops the rest and appends a `dump-error` entry naming the
+/// namespace-relative file and the I/O error; `false` then fails the
+/// stage.
+fn dump_artifacts<'a>(
+    options: &SuiteOptions,
+    namespace: &str,
+    artifacts: impl IntoIterator<Item = (&'a str, &'a str, &'a [u8])>,
+    entries: &mut Vec<(String, String)>,
+) -> bool {
+    let Some(dump) = &options.dump_dir else {
+        return true;
+    };
+    for (id, ext, bytes) in artifacts {
+        if let Err(e) = dump.write(namespace, id, ext, bytes) {
+            let file = DumpDir::relative_path(namespace, id, ext);
+            entries.push(("dump-error".to_string(), format!("{file}: {e}")));
+            return false;
+        }
+    }
+    true
+}
+
 /// Runs the whole reproduction on `engine` and collects the report,
 /// with [`ROBUSTNESS_SAMPLES`] Monte-Carlo samples per robustness run.
 ///
@@ -402,16 +434,21 @@ pub fn run_suite(engine: &Engine) -> SuiteReport {
     run_suite_with_options(engine, &SuiteOptions::default())
 }
 
-/// The declarative-scenario stage: loads every `*.toml` under `dir`,
-/// evaluates the batch through the engine's `try_par_map` fan (same
+/// The declarative-scenario stage, run when
+/// [`SuiteOptions::scenarios_dir`] is set: loads every `*.toml` under
+/// it, evaluates the batch through the engine's `try_par_map` fan (same
 /// seed/chunk discipline as the hand-coded stages), and reports one
 /// suite-format digest entry per scenario id. Load failures and
 /// per-scenario evaluation failures degrade the stage to `failed`
 /// without aborting the suite.
-fn scenarios_stage(engine: &Engine, dir: &Path, memo: Option<&mut SweepMemo>) -> Stage {
-    let dir = dir.to_path_buf();
-    run_stage(engine, "scenarios", move |engine| {
-        let scenarios = match focal_scenario::load_dir(&dir) {
+fn scenarios_stage(
+    engine: &Engine,
+    options: &SuiteOptions,
+    memo: Option<&mut SweepMemo>,
+) -> Option<Stage> {
+    let dir = options.scenarios_dir.as_deref()?;
+    Some(run_stage(engine, "scenarios", move |engine| {
+        let scenarios = match focal_scenario::load_dir(dir) {
             Ok(scenarios) => scenarios,
             Err(e) => {
                 return Ok((false, vec![("load-error".to_string(), e.to_string())]));
@@ -420,9 +457,18 @@ fn scenarios_stage(engine: &Engine, dir: &Path, memo: Option<&mut SweepMemo>) ->
         let results = focal_scenario::evaluate_all_with(engine, &scenarios, memo)?;
         let mut passed = !results.is_empty();
         let mut entries: Vec<(String, String)> = Vec::with_capacity(results.len());
+        let mut outputs = Vec::with_capacity(results.len());
         for (id, result) in results {
             match result {
-                Ok(output) => entries.push((id, output.digest_entry())),
+                Ok(output) => {
+                    let ext = match output {
+                        ScenarioOutput::Figure(_) => "csv",
+                        _ => "txt",
+                    };
+                    let bytes = output.to_bytes();
+                    entries.push((id.clone(), digest_entry(&bytes)));
+                    outputs.push((id, ext, bytes));
+                }
                 Err(e) => {
                     passed = false;
                     entries.push((id, format!("ERROR: {e}")));
@@ -430,8 +476,12 @@ fn scenarios_stage(engine: &Engine, dir: &Path, memo: Option<&mut SweepMemo>) ->
             }
         }
         entries.sort();
-        Ok((passed, entries))
-    })
+        let artifacts = outputs
+            .iter()
+            .map(|(id, ext, bytes)| (id.as_str(), *ext, bytes.as_slice()));
+        let dumped = dump_artifacts(options, NS_SCENARIOS, artifacts, &mut entries);
+        Ok((passed && dumped, entries))
+    }))
 }
 
 /// [`run_suite`] with explicit options: the Monte-Carlo sample count of
@@ -450,11 +500,10 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     // use it — stages execute strictly sequentially, so no locking.
     let mut memo = options.memo.then(SweepMemo::new);
     if options.scenarios_only {
-        if let Some(dir) = &options.scenarios_dir {
-            let stages = vec![scenarios_stage(engine, dir, memo.as_mut())];
+        if let Some(stage) = scenarios_stage(engine, options, memo.as_mut()) {
             return SuiteReport {
                 threads: engine.threads(),
-                stages,
+                stages: vec![stage],
                 memo_stats: memo.map(|m| m.stats()),
             };
         }
@@ -483,12 +532,15 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
                 }
             }
         }
-        let mut entries: Vec<(String, String)> = figures
+        let csvs: Vec<(&str, String)> = figures.iter().map(|f| (f.id, f.to_csv())).collect();
+        let mut entries: Vec<(String, String)> = csvs
             .iter()
-            .map(|f| (f.id.to_string(), digest_entry(f.to_csv().as_bytes())))
+            .map(|(id, csv)| (id.to_string(), digest_entry(csv.as_bytes())))
             .collect();
         entries.sort();
-        Ok((figures.len() == 9, entries))
+        let artifacts = csvs.iter().map(|(id, csv)| (*id, "csv", csv.as_bytes()));
+        let dumped = dump_artifacts(options, NS_REGISTRY, artifacts, &mut entries);
+        Ok((dumped && figures.len() == 9, entries))
     }));
 
     // Stage 2: every finding, gated on reproduction.
@@ -637,9 +689,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
 
     // Optional stage 6: the declarative scenario corpus, flag-gated so
     // the default suite output keeps exactly the five stages above.
-    if let Some(dir) = &options.scenarios_dir {
-        stages.push(scenarios_stage(engine, dir, memo.as_mut()));
-    }
+    stages.extend(scenarios_stage(engine, options, memo.as_mut()));
 
     SuiteReport {
         threads: engine.threads(),
@@ -651,6 +701,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn suite_runs_and_passes_on_the_paper_configuration() {

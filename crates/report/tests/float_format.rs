@@ -204,9 +204,9 @@ fn zeros_and_specials_print_as_core() {
 
 #[test]
 fn every_golden_figure_number_reprints_as_committed() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
     let mut cells = 0;
-    for entry in std::fs::read_dir(&dir).expect("the goldens directory") {
+    for entry in std::fs::read_dir(&dir).expect("the data directory") {
         let path = entry.expect("a directory entry").path();
         if path.extension().and_then(|e| e.to_str()) != Some("csv") {
             continue;

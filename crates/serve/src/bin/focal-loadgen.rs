@@ -36,7 +36,7 @@
 //! per-request round-trip times. `--check-speedup`/`--min-throughput`
 //! turn the records into CI gates.
 
-use focal_bench::micro::{to_bench_json, BenchRecord};
+use focal_report::{to_bench_json, BenchRecord};
 use focal_serve::detect_git_rev;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -31,9 +31,9 @@
 //! never fire in the server). Stats go to stderr only; stdout
 //! carries nothing but response lines.
 
-use focal_bench::dump::DumpDir;
 use focal_engine::fault::{MC_SITE, SERVE_SITE};
 use focal_engine::{Engine, FaultPlan};
+use focal_report::DumpDir;
 use focal_serve::{
     serve_stream, serve_tcp, ChaosReader, ChaosWriter, ServeCore, ServeOptions, TcpOptions,
 };

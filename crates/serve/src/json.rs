@@ -12,8 +12,8 @@
 //!   on any input: the negative-protocol corpus in
 //!   `tests/protocol_negative.rs` pins this.
 //! * [`escape_into`] / [`escape`] — the string-escaping half of
-//!   rendering, re-exported from `focal-report` (through `focal-bench`)
-//!   so the suite, `BENCH.json` and `focal-lint` escape alike.
+//!   rendering, re-exported from `focal-report` so the suite,
+//!   `BENCH.json` and `focal-lint` escape alike.
 //!   Responses are assembled in one buffer from fixed fragments and
 //!   escaped values, so rendering is deterministic by construction:
 //!   objects are emitted in a fixed key order, never iterated from a
@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-pub use focal_bench::{json_escape as escape, json_escape_into as escape_into};
+pub use focal_report::{json_escape as escape, json_escape_into as escape_into};
 
 /// Maximum nesting depth accepted by the parser. Request envelopes are
 /// at most three levels deep (`{"batch": [{...}]}`), so this bounds

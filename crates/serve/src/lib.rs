@@ -46,7 +46,7 @@ pub mod service;
 
 pub use cache::{CacheStats, CachedEval, ServeCache};
 pub use chaos::{ChaosReader, ChaosWriter};
-pub use focal_bench::detect_git_rev;
+pub use focal_report::detect_git_rev;
 pub use load::{ConnCtx, Limits, ServerState};
 pub use proto::{
     parse_line, render_err, render_ok, ErrorKind, PingInfo, Provenance, Query, Request,

@@ -33,11 +33,10 @@ use crate::proto::{
     parse_line, render_ctl, render_err, render_ok, render_ping, ErrorKind, PingInfo, Provenance,
     Query, Request, RequestError,
 };
-use focal_bench::detect_git_rev;
-use focal_bench::dump::DumpDir;
 use focal_core::SweepMemo;
 use focal_engine::fault::payload_to_string;
 use focal_engine::{Engine, FaultPlan};
+use focal_report::{detect_git_rev, DumpDir};
 use focal_scenario::{CompiledScenario, ScenarioKind};
 use std::time::Instant;
 

@@ -33,7 +33,7 @@ fn malformed_line_does_not_drop_the_connection() {
     let opts = ServeOptions {
         engine: Engine::with_threads(2),
         cache: true,
-        dump_dir: Some(focal_bench::dump::DumpDir::new(tmp.join("dump"))),
+        dump_dir: Some(focal_report::DumpDir::new(tmp.join("dump"))),
         dump_prefix: String::new(),
         git_rev: "e2e".to_string(),
         limits: focal_serve::Limits::default(),

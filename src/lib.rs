@@ -49,9 +49,15 @@
 //! * [`uarch`] — cores, speculation, accelerators, DVFS (Figs. 5, 7, 8).
 //! * [`scaling`] — technology nodes, Dennard scaling, die shrinks (Fig. 9).
 //! * [`act`] — an ACT-style bottom-up baseline (§3.5).
+//! * [`engine`] — the deterministic parallel engine and its fault plans.
 //! * [`studies`] — every paper figure and finding, regenerated.
-//! * [`report`] — tables, CSV and ASCII charts for the harness.
+//! * [`scenario`] — the TOML scenario DSL and its evaluation.
+//! * [`report`] — tables, CSV, ASCII charts, exact `f64` text, JSON
+//!   escaping, `BENCH.json` records and `--dump-dir` namespaces.
 //! * [`serve`] — NDJSON batch/streaming query service over the engine.
+//!
+//! The harness binaries (`focal-bench`) and the linter (`focal-lint`)
+//! are workspace members outside this facade.
 //!
 //! The most common types are re-exported at the crate root.
 

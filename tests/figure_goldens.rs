@@ -2,8 +2,9 @@
 //! figure, so any drift in the model chain is caught at the digit level
 //! (the findings tests use the paper's rounded numbers; these use the
 //! model's own exact values), plus full-CSV golden files capturing every
-//! byte of every figure dump (regenerate with
-//! `cargo run --example dump_goldens` after an intentional model change).
+//! byte of every figure dump: the shipped `data/*.csv` (regenerate them
+//! with the command in `data/README.md` after an intentional model
+//! change).
 
 use focal::studies::all_figures;
 use focal::studies::Figure;
@@ -12,15 +13,15 @@ use focal::studies::Figure;
 /// the parallel engine existed. Byte-compared, not parsed: any change to
 /// values, ordering or formatting is a regression until a human re-dumps.
 const GOLDEN_CSVS: [(&str, &str); 9] = [
-    ("fig1", include_str!("goldens/fig1.csv")),
-    ("fig3", include_str!("goldens/fig3.csv")),
-    ("fig4", include_str!("goldens/fig4.csv")),
-    ("fig5a", include_str!("goldens/fig5a.csv")),
-    ("fig5b", include_str!("goldens/fig5b.csv")),
-    ("fig6", include_str!("goldens/fig6.csv")),
-    ("fig7", include_str!("goldens/fig7.csv")),
-    ("fig8", include_str!("goldens/fig8.csv")),
-    ("fig9", include_str!("goldens/fig9.csv")),
+    ("fig1", include_str!("../data/fig1.csv")),
+    ("fig3", include_str!("../data/fig3.csv")),
+    ("fig4", include_str!("../data/fig4.csv")),
+    ("fig5a", include_str!("../data/fig5a.csv")),
+    ("fig5b", include_str!("../data/fig5b.csv")),
+    ("fig6", include_str!("../data/fig6.csv")),
+    ("fig7", include_str!("../data/fig7.csv")),
+    ("fig8", include_str!("../data/fig8.csv")),
+    ("fig9", include_str!("../data/fig9.csv")),
 ];
 
 #[test]
@@ -29,7 +30,7 @@ fn every_figure_csv_matches_its_golden_file_byte_for_byte() {
     assert_eq!(
         figures.len(),
         GOLDEN_CSVS.len(),
-        "a figure was added or removed; update tests/goldens/"
+        "a figure was added or removed; update data/"
     );
     for fig in &figures {
         let (_, golden) = GOLDEN_CSVS
@@ -39,8 +40,10 @@ fn every_figure_csv_matches_its_golden_file_byte_for_byte() {
         let csv = fig.to_csv();
         assert!(
             csv.as_bytes() == golden.as_bytes(),
-            "{} CSV drifted from tests/goldens/{}.csv; if the model change \
-             is intentional, regenerate with `cargo run --example dump_goldens`",
+            "{} CSV drifted from data/{}.csv; if the model change is \
+             intentional, regenerate data/ with `cargo run -q --release -p \
+             focal-bench --bin suite -- --no-timings --dump-dir out > /dev/null \
+             && cp out/registry/*.csv data/`",
             fig.id,
             fig.id
         );
