@@ -78,7 +78,7 @@ pub use design::{DesignPoint, DesignPointBuilder};
 pub use error::{ModelError, Result};
 pub use fleet::{Fleet, Segment};
 pub use mc_kernel::{mc_kernel_isa, MC_GROUP_CHUNKS};
-pub use memo::{MemoStats, SweepMemo, SweepMemoStats};
+pub use memo::{MemoStats, ProbeTable, SweepMemo, SweepMemoStats};
 pub use ncf::{Ncf, NcfBand, NcfPair};
 pub use quantity::{CarbonFootprint, Energy, ExecutionTime, Performance, Power, SiliconArea};
 pub use rebound::{deployment_adjusted_weight, lifetime_adjusted_weight};

@@ -30,9 +30,12 @@
 //!
 //! ## Determinism and confinement
 //!
-//! The table is a plain open-addressed vector — no `HashMap` (banned in
-//! determinism crates: iteration order), no interior mutability, no
-//! locks or atomics (banned outside `crates/engine`). Callers thread
+//! Each table is a [`ProbeTable`], a plain open-addressed vector — no
+//! `HashMap` (banned in determinism crates: iteration order), no
+//! interior mutability, no locks or atomics (banned outside
+//! `crates/engine`). `ProbeTable` takes its hash and equality from the
+//! caller, so focal-serve's evaluation cache indexes its slab with the
+//! same table. Callers thread
 //! `&mut SweepMemo` through strictly serial call boundaries: lookups
 //! happen before an engine fan-out, inserts after it returns, so
 //! memo-on and memo-off runs produce byte-identical outputs.
@@ -115,18 +118,128 @@ impl SweepMemoStats {
     }
 }
 
-/// An open-addressed, linear-probing map from fixed-width `[u64; N]`
-/// keys to values, with hit/miss counters.
+/// An open-addressed, linear-probing table of `T` values. The caller
+/// supplies each value's hash and the equality that finds it, so one
+/// table serves [`SweepMemo`]'s fixed-width keys, stored inline, and
+/// focal-serve's cache indexes, whose slots name entries kept in a slab
+/// beside the table.
 ///
 /// Capacity is a power of two and load is kept below 7/8, so probing
 /// always terminates at a match or an empty slot. Every operation is
 /// panic-free by construction (indices are masked, access goes through
-/// `get`/`get_mut`).
+/// `get`/`get_mut`). No hash is stored: growth asks the caller to
+/// rehash each value, which keeps a slot as small as `Option<T>`.
+#[derive(Debug, Clone)]
+pub struct ProbeTable<T> {
+    /// `None` = empty slot; allocated lazily on first insert.
+    slots: Vec<Option<T>>,
+    len: usize,
+}
+
+impl<T> Default for ProbeTable<T> {
+    fn default() -> Self {
+        ProbeTable::new()
+    }
+}
+
+impl<T> ProbeTable<T> {
+    /// An empty table; nothing is allocated until the first insert.
+    #[must_use]
+    pub const fn new() -> Self {
+        ProbeTable {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Values stored.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no value is stored.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Index of the slot holding a value `eq` accepts, or of the first
+    /// empty slot on `hash`'s probe path. The load invariant guarantees
+    /// an empty slot exists; the step bound is pure defense in depth.
+    fn probe(&self, hash: u64, mut eq: impl FnMut(&T) -> bool) -> usize {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut i = (hash as usize) & mask;
+        let mut steps = 0usize;
+        while steps <= mask {
+            match self.slots.get(i) {
+                Some(Some(value)) if !eq(value) => {
+                    i = (i + 1) & mask;
+                    steps += 1;
+                }
+                _ => return i,
+            }
+        }
+        i
+    }
+
+    /// The value on `hash`'s probe path that `eq` accepts.
+    pub fn get(&self, hash: u64, eq: impl FnMut(&T) -> bool) -> Option<&T> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.slots
+            .get(self.probe(hash, eq))
+            .and_then(Option::as_ref)
+    }
+
+    /// Stores `value` under `hash` in place of the value `eq` accepts,
+    /// which is returned, or in a fresh slot. `rehash` gives the hash of
+    /// a stored value when the table grows (at 7/8 load, or on first
+    /// use).
+    pub fn insert(
+        &mut self,
+        hash: u64,
+        value: T,
+        eq: impl FnMut(&T) -> bool,
+        rehash: impl Fn(&T) -> u64,
+    ) -> Option<T> {
+        if self.slots.is_empty() || (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow(rehash);
+        }
+        let i = self.probe(hash, eq);
+        let slot = self.slots.get_mut(i)?;
+        let old = slot.replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
+    }
+
+    /// Doubles the capacity (64 slots on first use) and re-places every
+    /// value at its `rehash` probe slot.
+    fn grow(&mut self, rehash: impl Fn(&T) -> u64) {
+        let new_cap = if self.slots.is_empty() {
+            64
+        } else {
+            self.slots.len().saturating_mul(2)
+        };
+        let old = std::mem::take(&mut self.slots);
+        self.slots.resize_with(new_cap, || None);
+        for value in old.into_iter().flatten() {
+            let i = self.probe(rehash(&value), |_| false);
+            if let Some(slot) = self.slots.get_mut(i) {
+                *slot = Some(value);
+            }
+        }
+    }
+}
+
+/// A [`ProbeTable`] map from fixed-width `[u64; N]` keys to values,
+/// with hit/miss counters: the shape of every [`SweepMemo`] table.
 #[derive(Debug, Clone)]
 struct MemoTable<const N: usize, V> {
-    /// `None` = empty slot; allocated lazily on first insert.
-    slots: Vec<Option<([u64; N], V)>>,
-    len: usize,
+    table: ProbeTable<([u64; N], V)>,
     hits: u64,
     misses: u64,
 }
@@ -134,8 +247,7 @@ struct MemoTable<const N: usize, V> {
 impl<const N: usize, V: Clone> MemoTable<N, V> {
     const fn new() -> Self {
         MemoTable {
-            slots: Vec::new(),
-            len: 0,
+            table: ProbeTable::new(),
             hits: 0,
             misses: 0,
         }
@@ -154,25 +266,6 @@ impl<const N: usize, V: Clone> MemoTable<N, V> {
         h ^ (h >> 33)
     }
 
-    /// Index of the slot holding `key`, or of the first empty slot on
-    /// its probe path. The load invariant guarantees an empty slot
-    /// exists; the step bound is pure defense in depth.
-    fn probe(&self, key: &[u64; N]) -> usize {
-        let mask = self.slots.len().wrapping_sub(1);
-        let mut i = (Self::hash(key) as usize) & mask;
-        let mut steps = 0usize;
-        while steps <= mask {
-            match self.slots.get(i) {
-                Some(Some((k, _))) if k != key => {
-                    i = (i + 1) & mask;
-                    steps += 1;
-                }
-                _ => return i,
-            }
-        }
-        i
-    }
-
     fn lookup(&mut self, key: &[u64; N]) -> Option<V> {
         self.lookup_as(key, |v| Some(v.clone()))
     }
@@ -180,14 +273,10 @@ impl<const N: usize, V: Clone> MemoTable<N, V> {
     /// Looks `key` up and reads the entry through `read`; an entry that
     /// `read` cannot answer from counts as a miss, like an absent one.
     fn lookup_as<R>(&mut self, key: &[u64; N], read: impl FnOnce(&V) -> Option<R>) -> Option<R> {
-        let found = if self.slots.is_empty() {
-            None
-        } else {
-            match self.slots.get(self.probe(key)) {
-                Some(Some((_, v))) => read(v),
-                _ => None,
-            }
-        };
+        let found = self
+            .table
+            .get(Self::hash(key), |(k, _)| k == key)
+            .and_then(|(_, v)| read(v));
         if found.is_some() {
             self.hits += 1;
         } else {
@@ -196,41 +285,20 @@ impl<const N: usize, V: Clone> MemoTable<N, V> {
         found
     }
 
-    /// Writes `(key, value)` at its probe slot without growth checks.
-    fn place(&mut self, key: [u64; N], value: V) {
-        let i = self.probe(&key);
-        if let Some(slot) = self.slots.get_mut(i) {
-            if slot.is_none() {
-                self.len += 1;
-            }
-            *slot = Some((key, value));
-        }
-    }
-
     fn insert(&mut self, key: [u64; N], value: V) {
-        // Grow at 7/8 load (or on first use) so probing always finds an
-        // empty slot.
-        if self.slots.is_empty() || (self.len + 1) * 8 > self.slots.len() * 7 {
-            let new_cap = if self.slots.is_empty() {
-                64
-            } else {
-                self.slots.len().saturating_mul(2)
-            };
-            let old = std::mem::take(&mut self.slots);
-            self.slots.resize_with(new_cap, || None);
-            self.len = 0;
-            for (k, v) in old.into_iter().flatten() {
-                self.place(k, v);
-            }
-        }
-        self.place(key, value);
+        self.table.insert(
+            Self::hash(&key),
+            (key, value),
+            |(k, _)| *k == key,
+            |(k, _)| Self::hash(k),
+        );
     }
 
     fn stats(&self) -> MemoStats {
         MemoStats {
             hits: self.hits,
             misses: self.misses,
-            entries: self.len,
+            entries: self.table.len(),
         }
     }
 }
@@ -541,6 +609,50 @@ mod tests {
         }
         for i in 0..128u64 {
             assert_eq!(t.lookup(&[i]), Some(i * 2));
+        }
+    }
+
+    /// The hashes the oracle test probes under: well mixed, eight
+    /// buckets, one bucket, and low bits that are always zero (every
+    /// key starts at slot 0 of any table under 2^40 slots).
+    fn forced_hash(kind: u8, key: u64) -> u64 {
+        match kind {
+            0 => MemoTable::<1, u64>::hash(&[key]),
+            1 => key % 8,
+            2 => 0,
+            _ => key << 40,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn probe_table_matches_a_btreemap_oracle(
+            kind in 0u8..4,
+            ops in proptest::collection::vec((0u64..300, 0u64..1000, proptest::any::<bool>()), 1..700),
+        ) {
+            // Up to 300 keys: growths 64 → 128 → 256 → 512 slots.
+            let mut table: ProbeTable<(u64, u64)> = ProbeTable::new();
+            let mut oracle = std::collections::BTreeMap::new();
+            for (key, value, is_insert) in ops {
+                let hash = forced_hash(kind, key);
+                if is_insert {
+                    let old = table.insert(
+                        hash,
+                        (key, value),
+                        |(k, _)| *k == key,
+                        |(k, _)| forced_hash(kind, *k),
+                    );
+                    proptest::prop_assert_eq!(old.map(|(_, v)| v), oracle.insert(key, value));
+                } else {
+                    let got = table.get(hash, |(k, _)| *k == key).map(|(_, v)| *v);
+                    proptest::prop_assert_eq!(got, oracle.get(&key).copied());
+                }
+                proptest::prop_assert_eq!(table.len(), oracle.len());
+            }
+            for key in 0..300u64 {
+                let got = table.get(forced_hash(kind, key), |(k, _)| *k == key);
+                proptest::prop_assert_eq!(got.map(|(_, v)| *v), oracle.get(&key).copied());
+            }
         }
     }
 

@@ -16,16 +16,19 @@ pub fn json_escape(s: &str) -> String {
 /// (lowercase hex) for every other byte below 0x20, and everything else
 /// — 0x7f and non-ASCII included — unchanged.
 ///
-/// Runs that need no escaping are copied whole. Every escaped byte is
-/// ASCII, so each run starts and ends on a UTF-8 boundary.
+/// Runs that need no escaping are found by [`find_json_special`] and
+/// copied whole. Every escaped byte is ASCII, so each run starts and
+/// ends on a UTF-8 boundary.
 #[inline]
 pub fn json_escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
     let mut run_start = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(s.get(run_start..i).unwrap_or_default());
+    loop {
+        let at = find_json_special(bytes, run_start);
+        out.push_str(s.get(run_start..at).unwrap_or_default());
+        let Some(&b) = bytes.get(at) else {
+            return;
+        };
         match b {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
@@ -38,9 +41,48 @@ pub fn json_escape_into(out: &mut String, s: &str) {
                 out.push(hex_digit(b & 0xf));
             }
         }
-        run_start = i + 1;
+        run_start = at + 1;
     }
-    out.push_str(s.get(run_start..).unwrap_or_default());
+}
+
+/// Index of the first byte at or after `from` that a JSON string cannot
+/// hold raw — `"`, `\` or a byte below 0x20 — or `bytes.len()` when
+/// there is none. The escaper copies the run before it whole, and
+/// focal-serve's string parser does the same in reverse.
+///
+/// Eight bytes are tested per step, as one little-endian `u64`. Each
+/// test sets the high bit of every byte that fails it; a borrow can set
+/// a stray bit only above a byte that really fails, so the lowest set
+/// bit marks the first special byte exactly. Bytes of 0x80 and above
+/// (UTF-8 continuations and leads) never match.
+#[inline]
+#[must_use]
+pub fn find_json_special(bytes: &[u8], from: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    const SPACES: u64 = 0x2020_2020_2020_2020;
+    const QUOTES: u64 = 0x2222_2222_2222_2222;
+    const BACKSLASHES: u64 = 0x5c5c_5c5c_5c5c_5c5c;
+    let rest = bytes.get(from..).unwrap_or_default();
+    let mut words = rest.chunks_exact(8);
+    let mut at = from;
+    for word in &mut words {
+        let w = u64::from_le_bytes(<[u8; 8]>::try_from(word).unwrap_or_default());
+        let control = w.wrapping_sub(SPACES);
+        let quote = (w ^ QUOTES).wrapping_sub(ONES);
+        let backslash = (w ^ BACKSLASHES).wrapping_sub(ONES);
+        // `!w` drops every byte of 0x80 and above from all three tests.
+        let found = (control | quote | backslash) & !w & HIGHS;
+        if found != 0 {
+            return at + (found.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .map_or(bytes.len(), |i| at + i)
 }
 
 /// The lowercase hex digit for a nibble.
@@ -91,9 +133,54 @@ mod tests {
         }
     }
 
+    /// The byte-serial scan `find_json_special` replaced, kept as its
+    /// oracle.
+    fn special_oracle(bytes: &[u8], from: usize) -> usize {
+        (from..bytes.len())
+            .find(|&i| matches!(bytes[i], 0..=0x1f | b'"' | b'\\'))
+            .unwrap_or(bytes.len())
+    }
+
+    /// Checks the escaper and the scanner (from every start) on `s`.
+    fn assert_agrees(s: &str) {
+        assert_eq!(json_escape(s), escape_oracle(s), "{s:?}");
+        for from in 0..=s.len() + 1 {
+            assert_eq!(
+                find_json_special(s.as_bytes(), from),
+                special_oracle(s.as_bytes(), from),
+                "{s:?} from {from}"
+            );
+        }
+    }
+
+    /// 32 plain bytes: enough for a run of at least 24 around any
+    /// offset 0–15, so each edge byte lands in every lane of the word
+    /// loop and, in the shorter strings, in the tail loop too.
+    const PLAIN: &str = "the quick brown fox jumps over a";
+
+    #[test]
+    fn every_edge_character_is_found_at_every_offset_of_a_plain_run() {
+        for c in edge_chars() {
+            for offset in 0..16 {
+                for len in [24, 27, 32] {
+                    let s = format!("{}{c}{}", &PLAIN[..offset], &PLAIN[offset..len]);
+                    assert_agrees(&s);
+                    // Twice in one run, the second one word further on.
+                    assert_agrees(&format!("{s}{}{c}", &PLAIN[..8]));
+                }
+            }
+        }
+    }
+
     /// Mostly plain text with quotes, backslashes, every control byte,
     /// 0x7f and multi-byte scalars mixed in.
     const EDGE_CLASS: &str = "[\u{0}-\u{1f}\"\\/\u{7f}a-fnrtu0-9 ,éα✓😀]{0,40}";
+    /// Plain runs long enough for the word loop: printable ASCII but
+    /// `"`, `\` and `]` (the shim's class syntax cannot hold a `]`),
+    /// 0x7f and multi-byte scalars.
+    const PLAIN_CLASS: &str = "[ -!#-[^-~\u{7f}éα✓😀]{0,40}";
+    /// Zero or one byte that must be escaped.
+    const SPECIAL_CLASS: &str = "[\u{0}-\u{1f}\"\\]{0,1}";
 
     proptest::proptest! {
         #[test]
@@ -106,6 +193,23 @@ mod tests {
             for s in &strings {
                 proptest::prop_assert_eq!(json_escape(s), escape_oracle(s));
             }
+        }
+
+        #[test]
+        fn scanner_matches_the_byte_serial_scan_on_long_plain_runs(
+            pieces in proptest::collection::vec(
+                (
+                    proptest::string::string_regex(PLAIN_CLASS).unwrap(),
+                    proptest::string::string_regex(SPECIAL_CLASS).unwrap(),
+                ),
+                1..8,
+            ),
+        ) {
+            let s: String = pieces
+                .iter()
+                .flat_map(|(plain, special)| [plain.as_str(), special.as_str()])
+                .collect();
+            assert_agrees(&s);
         }
     }
 }

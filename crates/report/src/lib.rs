@@ -11,6 +11,8 @@
 //! * [`json_escape`] / [`json_escape_into`] — the one JSON string
 //!   escaper: `focal-serve` responses, the suite summary, `BENCH.json`
 //!   and `focal-lint`'s JSON reports all escape through it.
+//!   [`find_json_special`], its eight-bytes-a-step run scanner, also
+//!   drives `focal-serve`'s string parser.
 //! * [`write_shortest`] / [`write_fixed`] — an `f64` written byte for
 //!   byte as `{}` / `{:.N}` write it, several times faster: Ryu-style
 //!   shortest digits from power-of-5 tables computed at compile time,
@@ -43,5 +45,5 @@ pub use chart::{AsciiChart, ChartSeries};
 pub use csv::{push_cell, CsvWriter};
 pub use dump::{sanitize_id, DumpDir, NS_REGISTRY, NS_SCENARIOS, NS_SERVE};
 pub use float::{write_fixed, write_shortest};
-pub use json::{json_escape, json_escape_into};
+pub use json::{find_json_special, json_escape, json_escape_into};
 pub use table::{Align, Table};

@@ -10,7 +10,9 @@
 //!   booleans, null) that returns a structured [`JsonError`] carrying
 //!   the byte offset of the first malformed construct. It never panics
 //!   on any input: the negative-protocol corpus in
-//!   `tests/protocol_negative.rs` pins this.
+//!   `tests/protocol_negative.rs` pins this. String bodies are copied
+//!   run by run, each run found eight bytes a step by the escaper's own
+//!   scanner ([`focal_report::find_json_special`]).
 //! * [`escape_into`] / [`escape`] — the string-escaping half of
 //!   rendering, re-exported from `focal-report` so the suite,
 //!   `BENCH.json` and `focal-lint` escape alike.
@@ -23,6 +25,7 @@
 //! rather than a hash map: iteration order is input order, which keeps
 //! error reporting (first unknown key wins) deterministic.
 
+use focal_report::find_json_special;
 use std::fmt;
 
 pub use focal_report::{json_escape as escape, json_escape_into as escape_into};
@@ -197,12 +200,7 @@ impl<'a> Parser<'a> {
             // byte whole. It ends on an ASCII byte (or the end of the
             // input) and starts after one, so it is a `&str` slice.
             let start = self.pos;
-            while self
-                .peek()
-                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
-            {
-                self.pos += 1;
-            }
+            self.pos = find_json_special(self.bytes, start);
             if let Some(run) = self.text.get(start..self.pos) {
                 out.push_str(run);
             }
@@ -533,9 +531,39 @@ mod tests {
         }
     }
 
+    /// 32 plain bytes: enough for a run of at least 24 around any
+    /// offset 0–15, so each edge byte lands in every lane of the word
+    /// scan and, in the shorter bodies, in its tail loop too.
+    const PLAIN: &str = "the quick brown fox jumps over a";
+
+    #[test]
+    fn parser_matches_the_oracle_at_every_offset_of_a_plain_run() {
+        for c in edge_chars() {
+            for offset in 0..16 {
+                for len in [24, 27, 32] {
+                    let (head, tail) = (&PLAIN[..offset], &PLAIN[offset..len]);
+                    for body in [
+                        format!("{head}{c}{tail}"),
+                        format!("{head}\\{c}{tail}"),
+                        format!("{head}{}{tail}{}", escape(&c.to_string()), &PLAIN[..8]),
+                    ] {
+                        assert_parsers_agree(&format!("\"{body}\""));
+                        assert_parsers_agree(&format!("\"{body}"));
+                    }
+                }
+            }
+        }
+    }
+
     /// Mostly plain text with quotes, backslashes, every control byte,
     /// 0x7f and multi-byte scalars mixed in.
     const EDGE_CLASS: &str = "[\u{0}-\u{1f}\"\\/\u{7f}a-fnrtu0-9 ,éα✓😀]{0,40}";
+    /// Plain runs long enough for the word scan: printable ASCII but
+    /// `"`, `\` and `]` (the shim's class syntax cannot hold a `]`),
+    /// 0x7f and multi-byte scalars.
+    const PLAIN_CLASS: &str = "[ -!#-[^-~\u{7f}éα✓😀]{0,40}";
+    /// Zero or one byte that ends a plain run, or starts an escape.
+    const SPECIAL_CLASS: &str = "[\u{0}-\u{1f}\"\\]{0,1}";
 
     proptest::proptest! {
         #[test]
@@ -556,6 +584,28 @@ mod tests {
                     Ok(JsonValue::Str(body.clone()))
                 );
             }
+        }
+
+        #[test]
+        fn run_copying_parser_matches_the_oracle_on_long_plain_runs(
+            pieces in proptest::collection::vec(
+                (
+                    proptest::string::string_regex(PLAIN_CLASS).unwrap(),
+                    proptest::string::string_regex(SPECIAL_CLASS).unwrap(),
+                ),
+                1..8,
+            ),
+        ) {
+            let body: String = pieces
+                .iter()
+                .flat_map(|(plain, special)| [plain.as_str(), special.as_str()])
+                .collect();
+            assert_parsers_agree(&format!("\"{body}\""));
+            assert_parsers_agree(&format!("\"{}\"", escape(&body)));
+            proptest::prop_assert_eq!(
+                JsonValue::parse(&format!("\"{}\"", escape(&body))),
+                Ok(JsonValue::Str(body.clone()))
+            );
         }
     }
 }

@@ -53,6 +53,7 @@
 //! settings; `ping` responses carry live gauges by design and are the
 //! documented exception to the byte-diff guarantee.
 
+use crate::cache::{CacheEntry, CachedEval};
 use crate::json::{escape_into, JsonValue};
 use std::fmt::Write as _;
 
@@ -216,34 +217,42 @@ pub fn parse_line(text: &str, line_no: usize) -> Vec<ParsedRequest> {
             ))]
         }
     };
-    let Some(pairs) = value.as_object() else {
+    let JsonValue::Obj(pairs) = value else {
         return vec![Err(RequestError::envelope(
             line_no,
             "request line must be a JSON object",
         ))];
     };
     if pairs.iter().any(|(k, _)| k == "batch") {
-        return parse_batch(&value, pairs, line_no);
+        return parse_batch(pairs, line_no);
     }
     if pairs.iter().any(|(k, _)| k == "ping") {
-        return vec![parse_probe(&value, pairs, line_no, "ping")];
+        return vec![parse_probe(&pairs, line_no, "ping")];
     }
     if pairs.iter().any(|(k, _)| k == "ctl") {
-        return vec![parse_probe(&value, pairs, line_no, "ctl")];
+        return vec![parse_probe(&pairs, line_no, "ctl")];
     }
-    vec![parse_request(&value, line_no).map(Query::Scenario)]
+    vec![parse_request(JsonValue::Obj(pairs), line_no).map(Query::Scenario)]
+}
+
+/// The first value under `key`, as [`JsonValue::get`] finds it.
+fn field<'a>(pairs: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
+    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// Moves the string out of the first value under `key`, when that value
+/// is a string; what [`field`] would read, without a copy.
+fn take_str(pairs: &mut [(String, JsonValue)], key: &str) -> Option<String> {
+    match pairs.iter_mut().find(|(k, _)| k == key) {
+        Some((_, JsonValue::Str(s))) => Some(std::mem::take(s)),
+        _ => None,
+    }
 }
 
 /// Parses a `{"ping": true}` or `{"ctl": "shutdown"}` line (`verb` is
 /// the envelope key that selected this shape).
-fn parse_probe(
-    value: &JsonValue,
-    pairs: &[(String, JsonValue)],
-    line_no: usize,
-    verb: &str,
-) -> ParsedRequest {
-    let id = value
-        .get("id")
+fn parse_probe(pairs: &[(String, JsonValue)], line_no: usize, verb: &str) -> ParsedRequest {
+    let id = field(pairs, "id")
         .and_then(JsonValue::as_str)
         .map(str::to_string);
     let fail = |message: String, key: &str| {
@@ -259,12 +268,12 @@ fn parse_probe(
         return fail(format!("unknown key `{key}` in {verb} request"), key);
     }
     if verb == "ping" {
-        match value.get("ping").and_then(JsonValue::as_bool) {
+        match field(pairs, "ping").and_then(JsonValue::as_bool) {
             Some(true) => Ok(Query::Ping { id }),
             _ => fail("`ping` must be the boolean true".to_string(), "ping"),
         }
     } else {
-        match value.get("ctl").and_then(JsonValue::as_str) {
+        match field(pairs, "ctl").and_then(JsonValue::as_str) {
             Some("shutdown") => Ok(Query::Shutdown { id }),
             Some(other) => fail(format!("unknown ctl verb `{other}`"), "ctl"),
             None => fail("`ctl` must be a string verb".to_string(), "ctl"),
@@ -272,18 +281,14 @@ fn parse_probe(
     }
 }
 
-fn parse_batch(
-    value: &JsonValue,
-    pairs: &[(String, JsonValue)],
-    line_no: usize,
-) -> Vec<ParsedRequest> {
+fn parse_batch(pairs: Vec<(String, JsonValue)>, line_no: usize) -> Vec<ParsedRequest> {
     if let Some((key, _)) = pairs.iter().find(|(k, _)| k != "batch") {
         return vec![Err(RequestError {
             key: Some(key.clone()),
             ..RequestError::envelope(line_no, format!("unknown key `{key}` in batch envelope"))
         })];
     }
-    let Some(items) = value.get("batch").and_then(JsonValue::as_array) else {
+    let Some((_, JsonValue::Arr(items))) = pairs.into_iter().next() else {
         return vec![Err(RequestError::envelope(
             line_no,
             "`batch` must be an array of request objects",
@@ -324,57 +329,52 @@ fn parse_batch(
     out
 }
 
-fn parse_request(value: &JsonValue, line_no: usize) -> Result<Request, RequestError> {
-    let Some(pairs) = value.as_object() else {
+/// Parses one request object, moving its `id` and `scenario` strings
+/// out of the parsed value rather than copying them.
+fn parse_request(value: JsonValue, line_no: usize) -> Result<Request, RequestError> {
+    let JsonValue::Obj(mut pairs) = value else {
         return Err(RequestError::envelope(
             line_no,
             "request must be a JSON object",
         ));
     };
     // The id is recovered first so later errors can carry it.
-    let id = value
-        .get("id")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    let fail = |message: String, key: Option<&str>| {
+    let id = take_str(&mut pairs, "id");
+    let fail = |id: Option<String>, message: &str, key: &str| {
         Err(RequestError {
-            id: id.clone(),
+            id,
             kind: ErrorKind::BadRequest,
             line: line_no,
-            message,
-            key: key.map(str::to_string),
+            message: message.to_string(),
+            key: Some(key.to_string()),
         })
     };
     if let Some((key, _)) = pairs
         .iter()
         .find(|(k, _)| !REQUEST_KEYS.contains(&k.as_str()))
     {
-        return fail(format!("unknown key `{key}` in request"), Some(key));
+        return fail(id, &format!("unknown key `{key}` in request"), key);
     }
-    let Some(id) = id.clone() else {
-        return fail("missing or non-string `id`".to_string(), Some("id"));
+    let Some(id) = id else {
+        return fail(None, "missing or non-string `id`", "id");
     };
-    let Some(scenario) = value.get("scenario").and_then(JsonValue::as_str) else {
-        return fail(
-            "missing or non-string `scenario`".to_string(),
-            Some("scenario"),
-        );
+    let Some(scenario) = take_str(&mut pairs, "scenario") else {
+        return fail(Some(id), "missing or non-string `scenario`", "scenario");
     };
-    let include_output = match value.get("include_output") {
+    let include_output = match field(&pairs, "include_output") {
         None => false,
-        Some(v) => match v.as_bool() {
-            Some(b) => b,
-            None => {
-                return fail(
-                    "`include_output` must be a boolean".to_string(),
-                    Some("include_output"),
-                )
-            }
-        },
+        Some(JsonValue::Bool(b)) => *b,
+        Some(_) => {
+            return fail(
+                Some(id),
+                "`include_output` must be a boolean",
+                "include_output",
+            )
+        }
     };
     Ok(Request {
         id,
-        scenario: scenario.to_string(),
+        scenario,
         include_output,
     })
 }
@@ -394,9 +394,11 @@ pub struct Provenance {
 
 /// Renders a success response line (no trailing newline).
 ///
-/// Field order is fixed; a cache hit re-renders from the cached
-/// evaluation, so hit and miss bytes are identical by construction. The
-/// line is written into one buffer sized up front.
+/// Field order is fixed, and this is the one place that writes it: a
+/// cache entry (`RenderedOk`) is these same fields rendered once, and
+/// a hit splices the request id in front of them, so hit and miss bytes
+/// are identical by construction. The line is written into one buffer
+/// sized up front.
 #[must_use]
 pub fn render_ok(
     id: &str,
@@ -418,29 +420,108 @@ pub fn render_ok(
             + provenance.git_rev.len()
             + escaped_output,
     );
-    line.push_str("{\"id\":\"");
-    escape_into(&mut line, id);
-    line.push_str("\",\"ok\":true,\"scenario_id\":\"");
-    escape_into(&mut line, scenario_id);
+    push_id(&mut line, Some(id));
+    push_ok_fields(&mut line, scenario_id, kind, digest, provenance, output);
+    line.push('}');
+    line
+}
+
+/// Writes the fields of a success response that follow its id, in
+/// their fixed order: `,"ok":true` through `"provenance":{…}`, then
+/// `,"output":"…"` when `output` is given. Returns the length `line`
+/// had where the output field starts.
+fn push_ok_fields(
+    line: &mut String,
+    scenario_id: &str,
+    kind: &str,
+    digest: &str,
+    provenance: &Provenance,
+    output: Option<&str>,
+) -> usize {
+    line.push_str(",\"ok\":true,\"scenario_id\":\"");
+    escape_into(line, scenario_id);
     line.push_str("\",\"kind\":\"");
-    escape_into(&mut line, kind);
+    escape_into(line, kind);
     line.push_str("\",\"digest\":\"");
-    escape_into(&mut line, digest);
+    escape_into(line, digest);
     // Writing into a `String` cannot fail.
     let _ = write!(
         line,
         "\",\"provenance\":{{\"scenario_digest\":\"{:016x}\",\"seed\":{},\"git_rev\":\"",
         provenance.scenario_digest, provenance.seed,
     );
-    escape_into(&mut line, &provenance.git_rev);
+    escape_into(line, &provenance.git_rev);
     line.push_str("\"}");
+    let output_at = line.len();
     if let Some(text) = output {
         line.push_str(",\"output\":\"");
-        escape_into(&mut line, text);
+        escape_into(line, text);
         line.push('"');
     }
-    line.push('}');
-    line
+    output_at
+}
+
+/// One evaluation's success response, rendered once when it enters the
+/// cache and answered from for every later request: everything after
+/// the id, as [`render_ok`] writes it with the output, escaped and kept
+/// at exact length.
+#[derive(Debug)]
+pub(crate) struct RenderedOk {
+    /// `,"ok":true` through `"provenance":{…}`, then `,"output":"…"`.
+    fields: Box<str>,
+    /// Where `,"output"` starts in `fields`.
+    output_at: usize,
+    /// The canonical scenario digest, which the cache indexes.
+    scenario_digest: u64,
+}
+
+impl RenderedOk {
+    /// Renders `eval`'s fields, its output included, into `scratch` (a
+    /// buffer reused across calls, so its slack is never kept) and
+    /// copies them out once at exact length.
+    pub(crate) fn new(eval: &CachedEval, git_rev: &str, scratch: &mut String) -> RenderedOk {
+        let provenance = Provenance {
+            scenario_digest: eval.scenario_digest,
+            seed: eval.seed,
+            git_rev: git_rev.to_string(),
+        };
+        scratch.clear();
+        let output_at = push_ok_fields(
+            scratch,
+            &eval.scenario_id,
+            &eval.kind,
+            &eval.digest_entry,
+            &provenance,
+            Some(&eval.output_text),
+        );
+        RenderedOk {
+            fields: Box::from(scratch.as_str()),
+            output_at,
+            scenario_digest: eval.scenario_digest,
+        }
+    }
+
+    /// The response to request `id`: the id, then the stored fields,
+    /// with or without the output. Byte for byte what [`render_ok`]
+    /// writes for the same evaluation.
+    pub(crate) fn response(&self, id: &str, include_output: bool) -> String {
+        let fields = if include_output {
+            &self.fields
+        } else {
+            self.fields.get(..self.output_at).unwrap_or_default()
+        };
+        let mut line = String::with_capacity(fields.len() + id.len() + 16);
+        push_id(&mut line, Some(id));
+        line.push_str(fields);
+        line.push('}');
+        line
+    }
+}
+
+impl CacheEntry for RenderedOk {
+    fn scenario_digest(&self) -> u64 {
+        self.scenario_digest
+    }
 }
 
 /// Opens a response object with its id field: `{"id":` followed by the

@@ -8,30 +8,33 @@
 //!    failures become error responses immediately and never reach the
 //!    engine.
 //! 2. **Resolve** each request against the cache (text level, then a
-//!    compile + digest-level probe). Hits render straight from the
-//!    cached evaluation.
+//!    compile + digest-level probe). A hit is the request id spliced in
+//!    front of the cached response fields.
 //! 3. **Fan out** the deduplicated misses: deterministic scenarios go
 //!    through [`focal_engine::Engine::try_par_map_isolated`] (one
 //!    panicking query poisons only its own slot), robustness scenarios
 //!    run sequentially through the shared sweep memo under their own
 //!    `catch_unwind`.
-//! 4. **Render** responses in input order, splicing the request id and
-//!    `include_output` choice into the (possibly cached) evaluation.
+//! 4. **Render** each fresh evaluation's response fields once
+//!    (`proto::RenderedOk`) and answer its requests in input
+//!    order by splicing in each request id, with or without the output
+//!    field; the rendered fields then enter the cache. With the cache
+//!    off the path is the same, minus the insert.
 //!
 //! # Determinism
 //!
 //! Response bytes are a pure function of (request line, corpus of
 //! evaluations): never of thread count (the engine merges in chunk
 //! order), never of how lines were coalesced (per-request errors carry
-//! no batch geometry), and never of cache state (hits re-render from
-//! the same fields a cold evaluation produces). The serve CI job
-//! byte-diffs all three axes.
+//! no batch geometry), and never of cache state (a hit splices the id
+//! in front of the very fields its cold evaluation rendered). The serve
+//! CI job byte-diffs all three axes.
 
 use crate::cache::{CachedEval, ServeCache};
 use crate::load::{ConnCtx, Limits, ServerState};
 use crate::proto::{
-    parse_line, render_ctl, render_err, render_ok, render_ping, ErrorKind, PingInfo, Provenance,
-    Query, Request, RequestError,
+    parse_line, render_ctl, render_err, render_ping, ErrorKind, PingInfo, Query, RenderedOk,
+    Request, RequestError,
 };
 use focal_core::SweepMemo;
 use focal_engine::fault::payload_to_string;
@@ -97,8 +100,12 @@ pub struct ServeStats {
 /// cross-thread state at all (the confinement lint holds for serve).
 pub struct ServeCore {
     opts: ServeOptions,
-    cache: ServeCache,
+    cache: ServeCache<RenderedOk>,
     memo: SweepMemo,
+    /// Where each fresh evaluation's response fields are escaped before
+    /// they are copied out at exact length; reused, so its slack stays
+    /// here instead of in every cache entry.
+    scratch: String,
     stats: ServeStats,
     /// Scenario request slots seen on this connection so far, in input
     /// order. This is the per-connection request ordinal that
@@ -136,8 +143,9 @@ impl ServeCore {
     pub fn new(opts: ServeOptions) -> ServeCore {
         ServeCore {
             opts,
-            cache: ServeCache::new(),
+            cache: ServeCache::default(),
             memo: SweepMemo::new(),
+            scratch: String::new(),
             stats: ServeStats::default(),
             served_slots: 0,
         }
@@ -360,7 +368,7 @@ impl ServeCore {
     ) -> Slot {
         if caching {
             if let Some(hit) = self.cache.lookup_text(&req.scenario) {
-                let line = render_response(&req.id, req.include_output, hit, &self.opts.git_rev);
+                let line = hit.response(&req.id, req.include_output);
                 return Slot::Ready(self.finish_ok(&req.id, line));
             }
         }
@@ -381,7 +389,7 @@ impl ServeCore {
         let digest = compiled.canonical().digest();
         if caching {
             if let Some(hit) = self.cache.lookup_digest(&req.scenario, digest) {
-                let line = render_response(&req.id, req.include_output, hit, &self.opts.git_rev);
+                let line = hit.response(&req.id, req.include_output);
                 return Slot::Ready(self.finish_ok(&req.id, line));
             }
         }
@@ -409,14 +417,15 @@ impl ServeCore {
         }
     }
 
-    /// Evaluates the miss queue, rewrites every `Pending` slot into a
-    /// `Ready` response, and then moves each fresh evaluation into the
-    /// cache (in queue order), so no entry is copied.
+    /// Evaluates the miss queue, renders each fresh evaluation's
+    /// response fields once, rewrites every `Pending` slot into a
+    /// `Ready` response spliced from them, and then moves the rendered
+    /// fields into the cache (in queue order), so no entry is copied.
     fn evaluate_queue(&mut self, queue: Vec<QueueEntry>, caching: bool, slots: &mut [Slot]) {
         if queue.is_empty() {
             return;
         }
-        let mut results: Vec<Option<Result<CachedEval, String>>> = Vec::new();
+        let mut results: Vec<Option<Result<RenderedOk, String>>> = Vec::new();
         results.resize_with(queue.len(), || None);
 
         // Robustness scenarios need the engine + memo and already
@@ -428,7 +437,12 @@ impl ServeCore {
                 let outcome =
                     self.evaluate_robustness(&entry.compiled, entry.inject_panic, caching);
                 if let Some(slot) = results.get_mut(idx) {
-                    *slot = Some(finish_eval(entry, outcome));
+                    *slot = Some(finish_eval(
+                        entry,
+                        outcome,
+                        &self.opts.git_rev,
+                        &mut self.scratch,
+                    ));
                 }
             } else {
                 fan.push((idx, entry));
@@ -453,7 +467,12 @@ impl ServeCore {
                             Err(ce) => Err(format!("evaluation panicked: {}", ce.payload)),
                         };
                         if let Some(slot) = results.get_mut(*idx) {
-                            *slot = Some(finish_eval(entry, outcome));
+                            *slot = Some(finish_eval(
+                                entry,
+                                outcome,
+                                &self.opts.git_rev,
+                                &mut self.scratch,
+                            ));
                         }
                     }
                 }
@@ -481,8 +500,8 @@ impl ServeCore {
                 continue;
             };
             let rendered = match results.get(*queue_idx).and_then(Option::as_ref) {
-                Some(Ok(eval)) => {
-                    let line = render_response(id, *include_output, eval, &self.opts.git_rev);
+                Some(Ok(rendered)) => {
+                    let line = rendered.response(id, *include_output);
                     self.finish_ok(id, line)
                 }
                 Some(Err(message)) => self.rendered_err(&RequestError {
@@ -504,9 +523,9 @@ impl ServeCore {
         }
 
         if caching {
-            for (entry, result) in queue.into_iter().zip(results) {
-                if let Some(Ok(eval)) = result {
-                    self.cache.insert(entry.text, eval);
+            for (entry, result) in queue.iter().zip(results) {
+                if let Some(Ok(rendered)) = result {
+                    self.cache.insert(&entry.text, rendered);
                 }
             }
         }
@@ -572,48 +591,30 @@ impl ServeCore {
     }
 }
 
-/// Builds the cache entry (or error string) from one finished
-/// evaluation. The scenario digest is the one computed when the entry
-/// was queued, and the rendered bytes move into the entry uncopied,
-/// trimmed to their length because the cache never evicts.
+/// Builds one finished evaluation's fields and renders its response
+/// fields once, through `scratch` (or returns the error string). The
+/// scenario digest is the one computed when the entry was queued.
 fn finish_eval(
     entry: &QueueEntry,
     outcome: Result<focal_scenario::ScenarioOutput, String>,
-) -> Result<CachedEval, String> {
+    git_rev: &str,
+    scratch: &mut String,
+) -> Result<RenderedOk, String> {
     let output = outcome?;
     let bytes = output.to_bytes();
     let digest_entry = focal_scenario::digest_entry(&bytes);
-    let mut output_text = String::from_utf8(bytes)
+    let output_text = String::from_utf8(bytes)
         .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-    output_text.shrink_to_fit();
     let compiled = &entry.compiled;
-    Ok(CachedEval {
+    let eval = CachedEval {
         scenario_id: compiled.id().to_string(),
         kind: compiled.canonical().kind.as_str().to_string(),
         digest_entry,
         output_text,
         scenario_digest: entry.digest,
         seed: compiled.mc_seed().unwrap_or(0),
-    })
-}
-
-/// Renders the response line for request `id` from a (cached or fresh)
-/// evaluation. Pure: the same evaluation always renders the same
-/// bytes, which is the cache-hit byte-identity guarantee.
-fn render_response(id: &str, include_output: bool, eval: &CachedEval, git_rev: &str) -> String {
-    let provenance = Provenance {
-        scenario_digest: eval.scenario_digest,
-        seed: eval.seed,
-        git_rev: git_rev.to_string(),
     };
-    render_ok(
-        id,
-        &eval.scenario_id,
-        &eval.kind,
-        &eval.digest_entry,
-        &provenance,
-        include_output.then_some(eval.output_text.as_str()),
-    )
+    Ok(RenderedOk::new(&eval, git_rev, scratch))
 }
 
 #[cfg(test)]

@@ -235,6 +235,28 @@ fn perturbed() -> Vec<(String, String)> {
     .collect()
 }
 
+/// The scenario every `request-id/*` case sends.
+const SMALL: &str = "[scenario]\nid = \"g\"\nkind = \"finding\"\nindex = 16\nstudy = \"gating\"\n";
+
+/// Scenarios whose own id and title need escaping, by name.
+fn escaped_scenarios() -> Vec<(&'static str, String)> {
+    [
+        ("quote", "q\\\"id", "a \\\"quoted\\\" title"),
+        ("backslash", "b\\\\id", "C:\\\\path\\\\title"),
+        ("tab", "t\\tid", "tab\\tseparated"),
+        ("non-ascii", "αβγ-✓", "Données — 🌍 ✓"),
+    ]
+    .into_iter()
+    .map(|(name, id_body, title_body)| {
+        let text = format!(
+            "[scenario]\nid = \"{id_body}\"\nkind = \"figure\"\nstudy = \"microarch\"\n\
+             title = \"{title_body}\"\n"
+        );
+        (name, text)
+    })
+    .collect()
+}
+
 /// Every request line, labelled.
 fn cases() -> Vec<(String, String)> {
     let mut cases = Vec::new();
@@ -245,7 +267,6 @@ fn cases() -> Vec<(String, String)> {
     for (name, text) in perturbed() {
         cases.push((format!("perturbed/{name}"), request(&name, &text, true)));
     }
-    let small = "[scenario]\nid = \"g\"\nkind = \"finding\"\nindex = 16\nstudy = \"gating\"\n";
     for (name, id) in [
         ("quote", "a\"b"),
         ("backslash", "a\\b"),
@@ -256,18 +277,9 @@ fn cases() -> Vec<(String, String)> {
         ("alpha-check", "α✓"),
         ("all", "\"\\\t\u{1}\u{1f}\u{7f}α✓\r\n\u{8}\u{c}"),
     ] {
-        cases.push((format!("request-id/{name}"), request(id, small, true)));
+        cases.push((format!("request-id/{name}"), request(id, SMALL, true)));
     }
-    for (name, id_body, title_body) in [
-        ("quote", "q\\\"id", "a \\\"quoted\\\" title"),
-        ("backslash", "b\\\\id", "C:\\\\path\\\\title"),
-        ("tab", "t\\tid", "tab\\tseparated"),
-        ("non-ascii", "αβγ-✓", "Données — 🌍 ✓"),
-    ] {
-        let text = format!(
-            "[scenario]\nid = \"{id_body}\"\nkind = \"figure\"\nstudy = \"microarch\"\n\
-             title = \"{title_body}\"\n"
-        );
+    for (name, text) in escaped_scenarios() {
         cases.push((format!("scenario-id/{name}"), request(name, &text, true)));
     }
     cases.push((
@@ -276,6 +288,19 @@ fn cases() -> Vec<(String, String)> {
     ));
     cases.push(("not-json".to_string(), "this is not json".to_string()));
     cases
+}
+
+/// The scenario of every case that answers ok, once each.
+fn ok_scenarios() -> Vec<(String, String)> {
+    let mut scenarios: Vec<(String, String)> = corpus();
+    scenarios.extend(perturbed());
+    scenarios.push(("small".to_string(), SMALL.to_string()));
+    scenarios.extend(
+        escaped_scenarios()
+            .into_iter()
+            .map(|(name, text)| (name.to_string(), text)),
+    );
+    scenarios
 }
 
 /// `(label, response length, response FNV-64)` per case, in order.
@@ -326,6 +351,83 @@ fn every_response_matches_its_golden_length_and_digest() {
             .map(|(g, e)| format!("first difference: got {g:?}, golden {e:?}"))
             .unwrap_or_else(|| format!("{} cases, {} golden", got.len(), GOLDEN.len()));
         panic!("response bytes moved; {first}\ncomputed table:\n{table}");
+    }
+}
+
+/// `(text hits, digest hits)` from a core's stats line.
+fn hit_counts(core: &ServeCore) -> (u64, u64) {
+    let line = core.stats_line();
+    let inner = line
+        .split_once("hits (")
+        .and_then(|(_, rest)| rest.split_once(')'))
+        .map(|(inner, _)| inner)
+        .expect("stats line names its hits");
+    let (text, digest) = inner.split_once(", ").expect("text and digest hits");
+    let count = |part: &str, unit: &str| {
+        part.strip_suffix(unit)
+            .and_then(|n| n.parse().ok())
+            .expect("a hit count")
+    };
+    (count(text, " text"), count(digest, " digest"))
+}
+
+/// The response with its id field cut off; `id` escapes alike under
+/// this file's `quote` and the crate's escaper.
+fn after_id<'a>(response: &'a str, id: &str) -> &'a str {
+    let prefix = format!("{{\"id\":{}", quote(id));
+    response
+        .strip_prefix(&prefix)
+        .unwrap_or_else(|| panic!("{response} does not start with {prefix}"))
+}
+
+#[test]
+fn hits_answer_byte_for_byte_what_the_cache_off_path_answers() {
+    let options = |cache: bool| ServeOptions {
+        engine: Engine::serial(),
+        cache,
+        dump_dir: None,
+        dump_prefix: String::new(),
+        git_rev: "pinned".to_string(),
+        limits: Limits::default(),
+    };
+    let mut off = ServeCore::new(options(false));
+    let mut warm = ServeCore::new(options(true));
+    // Three ids that need escaping, one per path.
+    let (off_id, text_id, digest_id) = ("off\"\\", "text\n\u{1}hit", "digest\u{1f}\"✓");
+    let mut line_no = 0;
+    let mut answer = |core: &mut ServeCore, id: &str, scenario: &str, include_output: bool| {
+        line_no += 1;
+        let mut responses = core.handle_lines(&[(line_no, request(id, scenario, include_output))]);
+        assert_eq!(responses.len(), 1);
+        responses.remove(0)
+    };
+    for (name, scenario) in ok_scenarios() {
+        answer(&mut warm, "prime", &scenario, false);
+        for include_output in [false, true] {
+            let cold = answer(&mut off, off_id, &scenario, include_output);
+            assert!(cold.contains("\"ok\":true"), "{name}: {cold}");
+            assert_eq!(cold.contains("\"output\":"), include_output, "{name}");
+
+            let before = hit_counts(&warm);
+            let text_hit = answer(&mut warm, text_id, &scenario, include_output);
+            assert_eq!(
+                hit_counts(&warm),
+                (before.0 + 1, before.1),
+                "{name}: a text hit"
+            );
+
+            let respelled = format!("{scenario}\n# respelled, output {include_output}\n");
+            let digest_hit = answer(&mut warm, digest_id, &respelled, include_output);
+            assert_eq!(
+                hit_counts(&warm),
+                (before.0 + 1, before.1 + 1),
+                "{name}: a digest hit"
+            );
+
+            let cold = after_id(&cold, off_id);
+            assert_eq!(after_id(&text_hit, text_id), cold, "{name} text hit");
+            assert_eq!(after_id(&digest_hit, digest_id), cold, "{name} digest hit");
+        }
     }
 }
 
